@@ -8,12 +8,15 @@ paper builds its model zoo (§5.1.3).  The combined objective is eq. (14):
 
 Implementation notes
 --------------------
-* Every expert is evaluated on every example (dense computation).  The
-  paper's top-K sparsity is a *serving* optimization; at reproduction scale
-  dense evaluation is faster in numpy and is anyway required by AdvLoss
-  (idle experts' outputs are part of the loss) and by the Fig. 8 case study.
-  The prediction itself uses only the top-K probabilities — non-selected
-  experts receive exactly zero weight from the masked softmax.
+* Training (``forward`` / ``loss``) evaluates every expert on every
+  example (dense computation): AdvLoss reads the K selected experts plus
+  D sampled disagreeing ones, and the Fig. 8 case study reads all of
+  them.  The prediction itself uses only the top-K probabilities —
+  non-selected experts receive exactly zero weight from the masked
+  softmax.
+* Compiled scoring (``score`` / ``make_scorer``, what serving runs)
+  dispatches sparsely instead: each row runs only the K expert towers
+  its gate selects (eq. 8), with no capacity limit, so no row is dropped.
 * Gradient routing (eq. 15-16) holds structurally; see
   :mod:`repro.models.regularizers`.
 """
@@ -27,8 +30,8 @@ from ..data.dataset import Batch
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..nn import functional as F
-from ..nn.infer import (PrefixMemo, SplitMLP, masked_softmax_array,
-                        sigmoid_array)
+from ..nn.infer import (PrefixMemo, RowBufferPool, SplitMLP,
+                        compile_module, masked_softmax_array, sigmoid_array)
 from .base import FeatureEmbedder, ModelOutput, RankingModel
 from .config import ModelConfig
 from .gates import NoisyTopKGate
@@ -150,9 +153,23 @@ class MoERanker(RankingModel):
         return total, diagnostics
 
     def _build_scorer(self):
-        """Compiled scoring: numpy gate (clean logits, eval semantics) +
-        compiled expert towers, mirroring the eval-mode forward exactly."""
-        experts = [expert.compiled() for expert in self.experts]
+        """Compiled scoring with sparse top-K expert dispatch.
+
+        The numpy gate (clean logits, eval semantics) selects each row's
+        K experts.  Each selected expert's compiled tower then runs once,
+        on only the rows that selected it, and writes into a ``(B, N)``
+        logit matrix that is zero elsewhere, so the eq. 8 mix is the
+        eval-mode forward's.  A tower that every row selected gets ``x``
+        itself, with no gather: under the default ``sc`` gate all rows of
+        one request share one top-K set.
+
+        The N towers share one :class:`RowBufferPool`.  They run one after
+        another and each output is copied out before the next tower runs,
+        so one scratch set serves all of them, and ragged per-expert row
+        counts cost at most one buffer per power of two.
+        """
+        pool = RowBufferPool()
+        experts = [compile_module(expert, pool) for expert in self.experts]
         gate = self.inference_gate
         config = self.config
 
@@ -163,9 +180,20 @@ class MoERanker(RankingModel):
             clean = gate_in @ gate.weight.data
             mask = F.scatter_topk_mask(clean, gate.k)
             probs = masked_softmax_array(clean, mask, axis=1)
-            expert_logits = np.empty((x.shape[0], len(experts)), dtype=x.dtype)
-            for index, plan in enumerate(experts):
-                expert_logits[:, index] = plan(x).reshape(-1)
+            rows = x.shape[0]
+            expert_logits = np.zeros((rows, len(experts)), dtype=x.dtype)
+            # (expert, row) pairs, expert-major: expert e's rows are
+            # picked[bounds[e]:bounds[e + 1]].
+            owner, picked = np.nonzero(mask.T)
+            bounds = np.searchsorted(owner, np.arange(len(experts) + 1))
+            for index in np.flatnonzero(np.diff(bounds)):
+                start, stop = bounds[index], bounds[index + 1]
+                if stop - start == rows:
+                    expert_logits[:, index] = experts[index](x).reshape(-1)
+                else:
+                    group = picked[start:stop]
+                    expert_logits[group, index] = \
+                        experts[index](x[group]).reshape(-1)
             return sigmoid_array((probs * expert_logits).sum(axis=1))
         return score
 
@@ -177,7 +205,8 @@ class MoERanker(RankingModel):
         concatenated ``(num_experts * hidden)`` prefix block; per request
         only the query-side matmuls, the remaining expert layers, and the
         (query-side) gate run.  The gate math is identical to
-        ``_build_scorer`` — only the expert towers are split.
+        ``_build_scorer``; the expert towers are split and run densely,
+        every tower on every row.
         """
         embedder = self.embedder
         item_cols, query_cols = embedder.input_column_split()

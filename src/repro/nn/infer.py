@@ -63,7 +63,8 @@ from .module import Module, Sequential
 from .rnn import GRU, BiGRU, GRUCell
 from .tensor import Tensor, _stable_sigmoid, no_grad
 
-__all__ = ["CompiledPlan", "BufferPool", "compile_module", "register_compiler",
+__all__ = ["CompiledPlan", "BufferPool", "RowBufferPool", "compile_module",
+           "register_compiler",
            "softmax_array", "masked_softmax_array", "sigmoid_array",
            "SplitMLP", "PrefixMemo"]
 
@@ -117,9 +118,14 @@ class BufferPool:
         self._next_id = 0
 
     def reserve(self) -> int:
-        """Hand out a unique step id."""
+        """Hand out the next step id."""
         self._next_id += 1
         return self._next_id
+
+    def rewind(self) -> None:
+        """Restart step ids: the next plan compiled against this pool
+        reuses the previous plans' step buffers (see ``compile_module``)."""
+        self._next_id = 0
 
     def get(self, step: int, shape: tuple, dtype) -> np.ndarray:
         key = (step, shape, np.dtype(dtype))
@@ -139,6 +145,23 @@ class BufferPool:
 
     def __len__(self) -> int:
         return len(self._buffers)
+
+
+class RowBufferPool(BufferPool):
+    """A :class:`BufferPool` that allocates rows at power-of-two capacity.
+
+    ``get`` rounds the leading (batch-row) dimension up to the next power
+    of two and hands out the leading-row view, so batches of any size up
+    to ``2**j`` rows need at most ``j + 1`` buffers per step instead of one
+    per distinct size.  A view is overwritten by the next call at any size
+    with the same capacity, so callers copy results out before the next
+    call.
+    """
+
+    def get(self, step: int, shape: tuple, dtype) -> np.ndarray:
+        rows = shape[0]
+        capacity = 1 << max(rows - 1, 0).bit_length()
+        return super().get(step, (capacity, *shape[1:]), dtype)[:rows]
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +235,19 @@ class CompiledPlan:
                 f"buffers={len(self.pool)}, nbytes={self.pool.nbytes})")
 
 
-def compile_module(module: Module) -> CompiledPlan:
-    """Compile ``module`` into a :class:`CompiledPlan` (see module docs)."""
-    pool = BufferPool()
+def compile_module(module: Module, pool: BufferPool | None = None
+                   ) -> CompiledPlan:
+    """Compile ``module`` into a :class:`CompiledPlan` (see module docs).
+
+    Each plan gets a fresh :class:`BufferPool` unless ``pool`` is given.
+    Every plan compiled against a shared pool numbers its steps from the
+    start, so step *i* of each plan reuses one buffer per shape and dtype:
+    share a pool only between plans that run one at a time, each output
+    copied out before another plan of the set runs.
+    """
+    if pool is None:
+        pool = BufferPool()
+    pool.rewind()
     return CompiledPlan(module, _compile(module, pool), pool)
 
 

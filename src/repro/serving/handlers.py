@@ -277,8 +277,14 @@ class GatewayDispatcher:
         missing feature or out-of-range id would fail the merged batch and
         400 every innocent request coalesced with it.  When the gateway
         knows the schema (``spec``), bad requests are turned away at the
-        door instead.
+        door instead.  Non-finite numeric features are refused whether or
+        not the schema is known: they can only score as NaN, and NaN is
+        not JSON.
         """
+        if not np.isfinite(batch.numeric).all():
+            raise ApiError(400, "bad_request",
+                           "candidates.numeric must be finite "
+                           "(no NaN or Infinity)")
         if self.spec is None:
             return
         expected = set(self.spec.sparse_names)

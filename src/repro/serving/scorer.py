@@ -295,6 +295,9 @@ class _Worker:
         The row cap is re-read from the pool every iteration: under the
         adaptive policy it tracks the live backlog, so a queue that backs
         up mid-collect widens this very batch instead of the next one.
+        An adaptive pool with nothing queued scores what it holds at once:
+        waiting out ``max_wait_ms`` for a straggler would only delay a
+        lone request smaller than ``min_batch_rows``.
 
         Deadline enforcement lives here: an entry whose deadline already
         passed is dropped — its future fails with
@@ -308,6 +311,8 @@ class _Worker:
             return False            # lone expired entry: nothing to wait for
         deadline = time.monotonic() + self._pool._max_wait
         while rows < self._pool._collect_cap(rows):
+            if self._pool._adaptive and self._pool._queue.empty():
+                break
             remaining = deadline - time.monotonic()
             try:
                 item = self._pool._queue.get(block=remaining > 0,
@@ -419,9 +424,9 @@ class ScorerPool:
         shares (throughput), and no per-deployment ``max_batch_rows``
         tuning is needed.
     min_batch_rows:
-        Adaptive lower clamp: with backlog below this, a worker still
-        waits out ``max_wait_ms`` for stragglers to coalesce, preserving
-        the micro-batching win at light load.
+        Adaptive lower clamp on the cap: while requests are queued, a
+        worker keeps taking them until it holds this many rows.  With
+        nothing queued it scores what it holds at once.
     max_backlog_rows:
         Admission bound: with this many rows already enqueued, further
         submissions raise :class:`PoolOverloaded` instead of queueing —
@@ -690,9 +695,9 @@ class ScorerPool:
         faster than idle-count division on the cap-policy bench).
 
         With no backlog the cap collapses to ``min_batch_rows``, so an
-        idle pool answers immediately after at most one straggler wait
-        instead of sitting on ``max_wait_ms`` hoping to fill a maximal
-        batch.
+        idle pool never sits on ``max_wait_ms`` hoping to fill a maximal
+        batch; ``_collect`` also stops at an empty queue, so a lone
+        request below ``min_batch_rows`` is scored at once too.
         """
         if not self._adaptive:
             return self._max_batch_rows

@@ -136,6 +136,29 @@ class TestCompiledLayers:
         survivor = pool.get(step, (5, 2), np.float64)
         assert pool.get(step, (5, 2), np.float64) is survivor
 
+    def test_row_pool_hands_out_leading_rows_of_pow2_capacity(self):
+        pool = infer.RowBufferPool()
+        step = pool.reserve()
+        view = pool.get(step, (5, 3), np.float32)
+        assert view.shape == (5, 3) and view.flags.c_contiguous
+        assert view.base.shape == (8, 3)
+        # Sizes within one capacity share its buffer.
+        assert pool.get(step, (7, 3), np.float32).base is view.base
+        for rows in range(1, 257):
+            pool.get(step, (rows, 3), np.float32)
+        assert len(pool) == 9               # capacities 1, 2, 4, ..., 256
+
+    def test_plans_sharing_a_pool_share_step_buffers(self, rng):
+        pool = infer.RowBufferPool()
+        towers = [nn.MLP(6, [8], 1, rng=rng) for _ in range(3)]
+        plans = [infer.compile_module(t, pool) for t in towers]
+        x = rng.normal(size=(5, 6))
+        for plan, tower in zip(plans, towers):
+            assert plan.pool is pool
+            np.testing.assert_allclose(plan(x), tower.compiled()(x),
+                                       atol=1e-12)
+        assert len(pool) == 2               # two steps, shared by all three
+
     def test_generic_fallback_for_custom_module(self, rng):
         class Scale2(nn.Module):
             def forward(self, x):

@@ -291,6 +291,19 @@ class TestAdaptiveCap:
         assert adaptive_elapsed < wait_ms / 1000.0 / 2
         assert static_elapsed >= wait_ms / 1000.0 * 0.9
 
+    def test_lone_small_request_skips_straggler_wait(self, model, dataset):
+        """A request below min_batch_rows into an idle pool is scored at
+        once: with nothing queued there is no straggler to wait for."""
+        batch = dataset.batch(np.arange(6))     # 6 rows < min_batch_rows
+        with ScorerPool(model.make_scorer, num_workers=2,
+                        max_batch_rows=256, max_wait_ms=400.0,
+                        min_batch_rows=8) as pool:
+            started = time.monotonic()
+            scores = pool.score(batch)
+            elapsed = time.monotonic() - started
+        np.testing.assert_array_equal(scores, model.score(batch))
+        assert elapsed < 0.2
+
     def test_backlog_splits_across_workers(self, model, dataset):
         """The throughput half: a queued burst is coalesced into
         multi-request micro-batches bounded by the adaptive cap."""

@@ -130,6 +130,18 @@ class TestRankEndpoint:
             client.rank(batch.numeric, bad_sparse)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_numeric_is_structured_400(self, client, batch, value):
+        """One non-finite row is refused at the door: scoring it would
+        answer 200 with a bare NaN token, which is not JSON."""
+        numeric = batch.numeric.copy()
+        numeric[3] = value
+        with pytest.raises(ServingError) as excinfo:
+            client.rank(numeric, batch.sparse)
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "bad_request"
+
     def test_bad_top_k_is_400(self, client, batch):
         with pytest.raises(ServingError) as excinfo:
             client.rank(batch.numeric, batch.sparse, top_k=0)
