@@ -8,15 +8,18 @@ paper builds its model zoo (§5.1.3).  The combined objective is eq. (14):
 
 Implementation notes
 --------------------
-* Training (``forward`` / ``loss``) evaluates every expert on every
-  example (dense computation): AdvLoss reads the K selected experts plus
-  D sampled disagreeing ones, and the Fig. 8 case study reads all of
-  them.  The prediction itself uses only the top-K probabilities —
-  non-selected experts receive exactly zero weight from the masked
-  softmax.
+* Training (``loss``) evaluates each row's towers only on the cells the
+  objective reads: the K experts the noisy top-K gate selects (eq. 8) and,
+  with AdvLoss on, the D disagreeing experts it samples (eq. 12).  Every
+  other cell already had exactly zero weight and zero gradient (the masked
+  softmax fills it with ``-inf``; AdvLoss gathers only top-K and D
+  columns), so skipping it changes summation order, not the math.
+* ``forward(batch)`` alone stays dense, every expert on every row: it is
+  the reference ``predict``, ``expert_scores`` and the Fig. 8 case study
+  read.
 * Compiled scoring (``score`` / ``make_scorer``, what serving runs)
-  dispatches sparsely instead: each row runs only the K expert towers
-  its gate selects (eq. 8), with no capacity limit, so no row is dropped.
+  dispatches sparsely too: each row runs only the K expert towers its
+  gate selects (eq. 8), with no capacity limit, so no row is dropped.
 * Gradient routing (eq. 15-16) holds structurally; see
   :mod:`repro.models.regularizers`.
 """
@@ -30,8 +33,8 @@ from ..data.dataset import Batch
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..nn import functional as F
-from ..nn.infer import (PrefixMemo, RowBufferPool, SplitMLP,
-                        compile_module, masked_softmax_array, sigmoid_array)
+from ..nn.infer import (RowBufferPool, compile_module, masked_softmax_array,
+                        sigmoid_array)
 from .base import FeatureEmbedder, ModelOutput, RankingModel
 from .config import ModelConfig
 from .gates import NoisyTopKGate
@@ -39,6 +42,18 @@ from .regularizers import (adversarial_loss, hsc_loss, load_balancing_loss,
                            sample_disagreeing_experts)
 
 __all__ = ["MoERanker"]
+
+
+def _expert_groups(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the True cells of a (rows, experts) mask expert-major.
+
+    Returns ``(rows, bounds)``: expert ``e`` owns rows
+    ``rows[bounds[e]:bounds[e + 1]]``, in ascending order, and an expert
+    with no cell has equal bounds.
+    """
+    owner, rows = np.nonzero(cells.T)
+    bounds = np.searchsorted(owner, np.arange(cells.shape[1] + 1))
+    return rows, bounds
 
 
 class MoERanker(RankingModel):
@@ -94,16 +109,55 @@ class MoERanker(RankingModel):
             self.constraint_gate = None
 
     # ------------------------------------------------------------------
-    def expert_outputs(self, x: nn.Tensor) -> nn.Tensor:
-        """All expert logits, shape (b, N)."""
-        return nn.concatenate([expert(x) for expert in self.experts], axis=1)
+    def expert_outputs(self, x: nn.Tensor, cells: np.ndarray | None = None
+                       ) -> nn.Tensor:
+        """Expert logits, shape (b, N).
 
-    def forward(self, batch: Batch) -> ModelOutput:
+        With a boolean (b, N) ``cells`` mask each tower runs once, on only
+        the rows whose cells it owns, and every other entry is a constant
+        0.  Every tower runs even when no row routes to it, so its
+        parameters still end backward with a (zero) gradient, as in the
+        dense pass.
+        """
+        if cells is None:
+            return nn.concatenate([expert(x) for expert in self.experts], axis=1)
+        rows, bounds = _expert_groups(cells)
+        inputs = F.dispatch_rows(x, rows, bounds)
+        outputs = [expert(part) for expert, part in zip(self.experts, inputs)]
+        return F.combine_rows(outputs, rows, x.shape[0])
+
+    @property
+    def _num_disagreeing(self) -> int:
+        """D, the disagreeing experts sampled per row (0 without AdvLoss)."""
+        return self.config.num_disagreeing if self.use_adv else 0
+
+    def forward(self, batch: Batch, rng: np.random.Generator | None = None
+                ) -> ModelOutput:
+        """Gate and experts for ``batch``.
+
+        ``forward(batch)`` runs every expert on every row: the dense
+        reference.  With ``rng``, as :meth:`loss` passes it, the towers run
+        only on the cells eq. 14 reads: each row's top-K experts plus, with
+        AdvLoss on, D disagreeing experts drawn from ``rng`` (returned as
+        ``extras["disagreeing"]``).  ``expert_logits`` is then 0 in every
+        other cell, where the gate's probability is exactly 0.
+        """
         x = self.embedder.model_input(batch)
         gate_in = self.embedder.gate_input(batch, self.config.gate_features,
                                            self.config.gate_include_numeric)
         gate = self.inference_gate(gate_in)
-        expert_logits = self.expert_outputs(x)
+        extras = {"gate": gate}
+        if rng is None:
+            expert_logits = self.expert_outputs(x)
+        else:
+            cells = gate.topk_mask
+            if self._num_disagreeing:
+                disagreeing = sample_disagreeing_experts(
+                    gate.topk_mask, self._num_disagreeing, rng)
+                cells = cells.copy()
+                np.put_along_axis(cells, disagreeing, True, axis=1)
+                extras["disagreeing"] = disagreeing
+            expert_logits = self.expert_outputs(x, cells)
         # yhat logit = sum_i P_i(x_sc, K) * E_i(X)  (eq. 8; masked softmax
         # zeroes non-selected experts, so only top-K contribute).
         logits = (gate.probs * expert_logits).sum(axis=1)
@@ -113,13 +167,13 @@ class MoERanker(RankingModel):
             gate_probs=gate.probs,
             gate_logits_clean=gate.clean_logits,
             topk_indices=gate.topk_indices,
-            extras={"gate": gate},
+            extras=extras,
         )
 
     def loss(self, batch: Batch, rng: np.random.Generator | None = None
              ) -> tuple[nn.Tensor, dict[str, float]]:
         rng = rng if rng is not None else self._rng
-        output = self.forward(batch)
+        output = self.forward(batch, rng=rng)
         gate = output.extras["gate"]
         # The fused BCE kernel casts labels to the logits dtype itself, so no
         # up-front float64 copy is needed (and float32 mode stays float32).
@@ -141,11 +195,10 @@ class MoERanker(RankingModel):
             total = total + self.config.lambda_load * balance
             diagnostics["load_balance"] = balance.item()
 
-        if self.use_adv and self.config.num_disagreeing > 0:
-            disagreeing = sample_disagreeing_experts(
-                gate.topk_mask, self.config.num_disagreeing, rng)
+        if self._num_disagreeing:
             adv = adversarial_loss(output.expert_logits, gate.topk_indices,
-                                   disagreeing, on_sigmoid=self.config.adv_on_sigmoid)
+                                   output.extras["disagreeing"],
+                                   on_sigmoid=self.config.adv_on_sigmoid)
             total = total - self.config.lambda_adv * adv
             diagnostics["adv"] = adv.item()
 
@@ -182,10 +235,7 @@ class MoERanker(RankingModel):
             probs = masked_softmax_array(clean, mask, axis=1)
             rows = x.shape[0]
             expert_logits = np.zeros((rows, len(experts)), dtype=x.dtype)
-            # (expert, row) pairs, expert-major: expert e's rows are
-            # picked[bounds[e]:bounds[e + 1]].
-            owner, picked = np.nonzero(mask.T)
-            bounds = np.searchsorted(owner, np.arange(len(experts) + 1))
+            picked, bounds = _expert_groups(mask)
             for index in np.flatnonzero(np.diff(bounds)):
                 start, stop = bounds[index], bounds[index + 1]
                 if stop - start == rows:
@@ -194,57 +244,6 @@ class MoERanker(RankingModel):
                     group = picked[start:stop]
                     expert_logits[group, index] = \
                         experts[index](x[group]).reshape(-1)
-            return sigmoid_array((probs * expert_logits).sum(axis=1))
-        return score
-
-    def make_split_scorer(self, prefix_memo: PrefixMemo | None = None):
-        """Split-plan scoring: per-expert memoized item-side prefixes.
-
-        Every expert's first layer admits the same item/query column
-        split, so one memo entry per distinct item row carries the
-        concatenated ``(num_experts * hidden)`` prefix block; per request
-        only the query-side matmuls, the remaining expert layers, and the
-        (query-side) gate run.  The gate math is identical to
-        ``_build_scorer``; the expert towers are split and run densely,
-        every tower on every row.
-        """
-        embedder = self.embedder
-        item_cols, query_cols = embedder.input_column_split()
-        if item_cols.size == 0 or query_cols.size == 0:
-            return None
-        splits = [SplitMLP(expert, item_cols, query_cols)
-                  for expert in self.experts]
-        width = splits[0].prefix_width
-        memo = prefix_memo if prefix_memo is not None else PrefixMemo()
-        gate = self.inference_gate
-        config = self.config
-
-        def score(batch: Batch) -> np.ndarray:
-            x = embedder.model_input_array(batch)
-            gate_in = embedder.gate_input_array(
-                batch, config.gate_features, config.gate_include_numeric)
-            clean = gate_in @ gate.weight.data
-            mask = F.scatter_topk_mask(clean, gate.k)
-            probs = masked_softmax_array(clean, mask, axis=1)
-            x_item = np.ascontiguousarray(x[:, item_cols])
-            x_query = np.ascontiguousarray(x[:, query_cols])
-            keys = embedder.item_row_keys(batch)
-
-            def compute(rows: np.ndarray) -> np.ndarray:
-                block = np.empty((rows.size, len(splits) * width),
-                                 dtype=x.dtype)
-                x_rows = x_item[rows]
-                for index, split in enumerate(splits):
-                    block[:, index * width:(index + 1) * width] = \
-                        split.prefix(x_rows)
-                return block
-
-            prefix = memo.lookup(keys, compute)
-            expert_logits = np.empty((x.shape[0], len(splits)), dtype=x.dtype)
-            for index, split in enumerate(splits):
-                expert_logits[:, index] = split(
-                    prefix[:, index * width:(index + 1) * width],
-                    x_query).reshape(-1)
             return sigmoid_array((probs * expert_logits).sum(axis=1))
         return score
 

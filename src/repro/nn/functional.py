@@ -38,9 +38,21 @@ timestep updates only the still-valid prefix of the sorted batch — the
 cuDNN/PackedSequence trick.  The fused backward accumulates into the same
 shared gradient buffers as the masked path, so the two are numerically
 interchangeable (pinned in f64 by the parity tests).
+
+Sparse expert dispatch
+----------------------
+``dispatch_rows`` and ``combine_rows`` run each expert tower on only the
+rows routed to it (the sparsely-gated MoE dispatch of Shazeer et al.
+2017).  ``dispatch_rows`` gathers the routed rows once, expert-major, and
+hands each expert a contiguous slice; since every row feeds the same
+number of experts, its backward is a permutation plus a reshape-sum, not
+a scatter-add.  ``combine_rows`` places each expert's outputs back in a
+``(rows, experts)`` matrix that is zero outside the routed cells.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +75,8 @@ __all__ = [
     "gru_cell_fused",
     "gru_sequence",
     "gru_sequence_packed",
+    "dispatch_rows",
+    "combine_rows",
 ]
 
 def relu(x: Tensor) -> Tensor:
@@ -667,6 +681,81 @@ def gru_sequence_packed(x: Tensor, weight_ih: Tensor, weight_hh: Tensor,
                 _permute_rows(h, inverse, order, op="unsort_rows")
         outputs[t] = unsorted
     return outputs, unsorted
+
+
+def dispatch_rows(x: Tensor, rows: np.ndarray, bounds: np.ndarray) -> list[Tensor]:
+    """Split the rows of a 2-D ``x`` among experts, one slice per expert.
+
+    Expert ``e`` gets ``x[rows[bounds[e]:bounds[e + 1]]]``; ``bounds``
+    rises from 0 to ``len(rows)``, and an expert whose bounds are equal
+    gets a 0-row input.  ``rows`` must use every row of ``x`` equally
+    often, as a training batch does: each example feeds its K selected
+    and D disagreeing experts.  The routed rows are gathered once; each
+    slice's backward writes into that gather's one gradient buffer, and
+    the gather's backward groups the buffer by source row with one
+    permutation and sums each row's copies.
+    """
+    x = as_tensor(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if x.ndim != 2 or rows.ndim != 1:
+        raise ValueError("dispatch_rows expects a 2-D x and a 1-D rows index")
+    count, features = x.shape
+    fan_out = rows.size // count if count else 0
+    if rows.size != count * fan_out or \
+            (count and (np.bincount(rows, minlength=count) != fan_out).any()):
+        raise ValueError("dispatch_rows needs every row of x routed equally often")
+    if bounds.ndim != 1 or bounds.size == 0 or bounds[0] != 0 \
+            or bounds[-1] != rows.size or (np.diff(bounds) < 0).any():
+        raise ValueError("bounds must rise from 0 to len(rows)")
+    gathered = x._make_child(np.take(x.data, rows, axis=0), (x,), "dispatch_rows")
+    if gathered.requires_grad:
+        def _backward():
+            by_row = np.take(gathered.grad, np.argsort(rows, kind="stable"), axis=0)
+            x._accumulate(by_row.reshape(count, fan_out, features).sum(axis=1))
+        gathered._backward = _backward
+    return [_row_slice(gathered, int(start), int(stop))
+            for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def combine_rows(parts: Sequence[Tensor], rows: np.ndarray,
+                 num_rows: int) -> Tensor:
+    """Place per-expert outputs back in a ``(num_rows, len(parts))`` matrix.
+
+    ``parts[e]`` has shape ``(n_e, 1)``: expert ``e``'s outputs for the
+    next ``n_e`` entries of ``rows``, laid out as :func:`dispatch_rows`
+    dispatched them.  ``out[r, e]`` is expert ``e``'s output for row
+    ``r``.  Every cell no expert computed holds a constant 0 and passes
+    no gradient.  A row may appear at most once per expert.
+    """
+    parts = [as_tensor(part) for part in parts]
+    rows = np.asarray(rows, dtype=np.int64)
+    sizes = [part.shape[0] for part in parts]
+    if not parts or any(part.shape != (size, 1) for part, size in zip(parts, sizes)):
+        raise ValueError("combine_rows expects one (n, 1) output per expert")
+    columns = np.repeat(np.arange(len(parts)), sizes)
+    if rows.shape != columns.shape:
+        raise ValueError(f"combine_rows got {columns.size} outputs for "
+                         f"{rows.size} routed rows")
+    cells = rows * len(parts) + columns
+    if rows.size and (rows.min() < 0 or rows.max() >= num_rows
+                      or np.bincount(cells).max() > 1):
+        raise ValueError(f"routed rows must lie in [0, {num_rows}) and be "
+                         f"distinct within each expert")
+    values = np.concatenate([part.data.reshape(-1) for part in parts])
+    data = np.zeros(num_rows * len(parts), dtype=values.dtype)
+    data[cells] = values
+    out = parts[0]._make_child(data.reshape(num_rows, len(parts)), parts,
+                               "combine_rows")
+    if out.requires_grad:
+        offsets = np.cumsum([0, *sizes])
+        def _backward():
+            grad = out.grad.reshape(-1)[cells]
+            for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+                if part.requires_grad:
+                    part._accumulate(grad[start:stop].reshape(part.shape))
+        out._backward = _backward
+    return out
 
 
 def scatter_topk_mask(logits: np.ndarray, k: int) -> np.ndarray:

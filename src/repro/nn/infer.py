@@ -213,13 +213,16 @@ class CompiledPlan:
         self.module = module
         self.pool = pool
         self._fn = fn
+        # ``astype`` and ``load_state_dict`` swap ``.data`` on the same
+        # Parameter objects, so holding the first one keeps ``dtype`` live
+        # without walking the module tree on every call.
+        self._first_param = next(iter(module.parameters()), None)
 
     @property
     def dtype(self) -> np.dtype | None:
         """The parameter dtype the plan computes in (None if parameterless)."""
-        for param in self.module.parameters():
-            return param.data.dtype
-        return None
+        param = self._first_param
+        return None if param is None else param.data.dtype
 
     def __call__(self, x, *args, **kwargs):
         if isinstance(x, Tensor):

@@ -17,7 +17,7 @@ Design notes
   :mod:`repro.nn.gradcheck` always forces float64 regardless of the mode.
 * Gradients propagate through a dynamically built DAG.  Each differentiable
   op registers a backward closure on the output tensor; :meth:`Tensor.backward`
-  runs them in reverse topological order.
+  runs them in reverse topological order, then releases the graph it ran.
 * All binary ops are broadcasting-aware: gradients are "unbroadcast" (summed)
   back to each input's original shape.
 * ``no_grad`` disables graph construction, used during evaluation.
@@ -234,6 +234,10 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        The graph is released as it runs: afterwards no node reachable from
+        this tensor keeps its backward closure or its parents, so a second
+        ``backward()`` through the same graph reaches no leaf.
+
         Parameters
         ----------
         grad:
@@ -267,9 +271,14 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
+        # Each node's backward closure holds its own output tensor, so the
+        # graph is a reference cycle: release each node once it has run, or
+        # every step's activations wait for a full garbage collection.
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._prev = ()
 
     # ------------------------------------------------------------------
     # Arithmetic ops

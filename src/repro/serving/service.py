@@ -148,7 +148,8 @@ class RankingService:
         first-layer contribution is memoized per distinct item row
         (shared across the pool's workers), shrinking per-request FLOPs
         and weight traffic.  Split scores match the full plan to float
-        rounding, not bit-for-bit; default off.
+        rounding, not bit-for-bit; default off.  Only the DNN offers a
+        split plan; MoE models keep their sparse top-K scorer.
     scorer_processes / environment_dir:
         When ``scorer_processes`` > 0 **and** the routed registry entry
         was registered from a checkpoint (its metadata carries the

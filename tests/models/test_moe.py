@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import ModelConfig, MoERanker
+from repro.models import ModelConfig, MoERanker, build_model
+from repro.models.regularizers import (adversarial_loss, hsc_loss,
+                                       load_balancing_loss,
+                                       sample_disagreeing_experts)
 
 
 @pytest.fixture()
@@ -171,3 +174,156 @@ class TestTrainingBehaviour:
             optimizer.step()
         loss1, _ = full_model.loss(batch, rng=np.random.default_rng(0))
         assert loss1.item() < loss0.item()
+
+
+# ----------------------------------------------------------------------
+# Sparse expert dispatch in training
+# ----------------------------------------------------------------------
+MOE_NAMES = ("moe", "adv-moe", "hsc-moe", "adv-hsc-moe")
+
+
+def _dense_loss(model, batch, rng):
+    """Eq. 14 through the dense ``forward(batch)``, every tower on every
+    row, with D drawn after the forward: the reference the dispatched
+    ``loss`` must equal.  Returns ``(total, gate, disagreeing)``."""
+    output = model.forward(batch)
+    gate = output.extras["gate"]
+    config = model.config
+    total = nn.losses.bce_with_logits(output.logits, batch.labels)
+    if model.use_hsc:
+        x_tc = model.embedder.embed("query_tc", batch.sparse["query_tc"])
+        constraint = model.constraint_gate(x_tc)
+        total = total + config.lambda_hsc * hsc_loss(
+            gate, constraint.full_softmax,
+            restrict_to_topk=config.hsc_restrict_topk)
+    if config.lambda_load > 0:
+        total = total + config.lambda_load * load_balancing_loss(gate.probs)
+    disagreeing = None
+    if model.use_adv and config.num_disagreeing > 0:
+        disagreeing = sample_disagreeing_experts(gate.topk_mask,
+                                                 config.num_disagreeing, rng)
+        total = total - config.lambda_adv * adversarial_loss(
+            output.expert_logits, gate.topk_indices, disagreeing,
+            on_sigmoid=config.adv_on_sigmoid)
+    return total, gate, disagreeing
+
+
+def _gradients(model, loss) -> dict:
+    model.zero_grad()
+    loss.backward()
+    return {name: param.grad for name, param in model.named_parameters()}
+
+
+def _twins(name, dataset, taxonomy, config):
+    """Two identically seeded models: one for the reference, one under test."""
+    return [build_model(name, dataset.spec, taxonomy, config) for _ in range(2)]
+
+
+def _record_tower_rows(monkeypatch) -> list[tuple]:
+    """Record ``(tower, rows fed)`` for every ``MLP.forward`` call."""
+    calls = []
+    forward = nn.MLP.forward
+
+    def recording(tower, x):
+        calls.append((tower, x.shape[0]))
+        return forward(tower, x)
+    monkeypatch.setattr(nn.MLP, "forward", recording)
+    return calls
+
+
+@pytest.fixture()
+def strong_config(tiny_model_config):
+    # Regularizer weights large enough that a wrong HSC, AdvLoss or
+    # load-balance gradient would stand far above the 1e-10 tolerance.
+    return tiny_model_config.with_updates(lambda_hsc=0.5, lambda_adv=0.5,
+                                          lambda_load=0.1)
+
+
+class TestDispatchedTraining:
+    """``loss`` runs each row's towers only on its top-K and D cells; the
+    value and every gradient must equal the dense reference."""
+
+    # With N=6 and D=1, top_k=5 makes K + D = N for the AdvLoss variants.
+    @pytest.mark.parametrize("top_k", [2, 5])
+    @pytest.mark.parametrize("rows", ["mixed", "one-row"])
+    @pytest.mark.parametrize("name", MOE_NAMES)
+    def test_matches_dense_reference(self, name, rows, top_k, train_dataset,
+                                     taxonomy, strong_config):
+        config = strong_config.with_updates(top_k=top_k, num_disagreeing=1)
+        batch = train_dataset.batch(np.arange(32) if rows == "mixed"
+                                    else np.array([3]))
+        reference, model = _twins(name, train_dataset, taxonomy, config)
+        expected, _, _ = _dense_loss(reference, batch, np.random.default_rng(4))
+        actual, _ = model.loss(batch, rng=np.random.default_rng(4))
+        assert abs(actual.item() - expected.item()) <= 1e-10
+        want = _gradients(reference, expected)
+        got = _gradients(model, actual)
+        for param_name, grad in want.items():
+            if grad is None:
+                assert got[param_name] is None, param_name
+            else:
+                np.testing.assert_allclose(got[param_name], grad, rtol=0,
+                                           atol=1e-10, err_msg=param_name)
+
+    @pytest.mark.parametrize("name", MOE_NAMES)
+    def test_towers_run_once_on_k_plus_d_rows_per_row(
+            self, name, monkeypatch, train_dataset, taxonomy,
+            tiny_model_config):
+        model = build_model(name, train_dataset.spec, taxonomy,
+                            tiny_model_config)
+        batch = train_dataset.batch(np.arange(40))
+        calls = _record_tower_rows(monkeypatch)
+        model.loss(batch, rng=np.random.default_rng(0))
+        assert [tower for tower, _ in calls] == list(model.experts)
+        cells = tiny_model_config.top_k + \
+            (tiny_model_config.num_disagreeing if model.use_adv else 0)
+        assert sum(count for _, count in calls) == cells * len(batch)
+
+    def test_forward_alone_stays_dense(self, monkeypatch, full_model, batch):
+        calls = _record_tower_rows(monkeypatch)
+        full_model.forward(batch)
+        assert [count for _, count in calls] == [len(batch)] * len(full_model.experts)
+
+    def test_unrouted_expert_gets_zero_gradient(self, full_model, train_dataset):
+        """A tower no row routes to still ends backward with a zero
+        gradient, as in the dense pass, so AdamW keeps decaying it and
+        stepping its moments instead of skipping it."""
+        batch = train_dataset.batch(np.array([3]))
+        output = full_model.forward(batch, rng=np.random.default_rng(0))
+        used = output.extras["gate"].topk_mask.copy()
+        np.put_along_axis(used, output.extras["disagreeing"], True, axis=1)
+        idle = np.flatnonzero(~used[0])
+        assert idle.size == full_model.config.num_experts - 3
+        loss, _ = full_model.loss(batch, rng=np.random.default_rng(0))
+        full_model.zero_grad()
+        loss.backward()
+        for index in idle:
+            for param in full_model.experts[index].parameters():
+                assert param.grad is not None
+                assert not param.grad.any()
+        for index in np.flatnonzero(used[0]):
+            assert any(p.grad.any() for p in full_model.experts[index].parameters())
+
+    @pytest.mark.parametrize("name", MOE_NAMES)
+    def test_draws_match_the_dense_reference(self, name, train_dataset,
+                                             taxonomy, tiny_model_config):
+        """Same generators, same draw order: gate noise from the gate's own
+        stream, then D from the loss ``rng``, so a seeded run picks the
+        same top-K and D sets as before dispatch and leaves both streams in
+        the same state."""
+        batch = train_dataset.batch(np.arange(64))
+        reference, model = _twins(name, train_dataset, taxonomy,
+                                  tiny_model_config)
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        _, gate, disagreeing = _dense_loss(reference, batch, ref_rng)
+        output = model.forward(batch, rng=rng)
+        np.testing.assert_array_equal(output.extras["gate"].topk_indices,
+                                      gate.topk_indices)
+        if disagreeing is None:
+            assert "disagreeing" not in output.extras
+        else:
+            np.testing.assert_array_equal(output.extras["disagreeing"],
+                                          disagreeing)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert model.inference_gate._rng.bit_generator.state == \
+            reference.inference_gate._rng.bit_generator.state

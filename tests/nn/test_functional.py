@@ -295,3 +295,51 @@ class TestBCEWithLogitsFused:
         loss = F.bce_with_logits_fused(Tensor(np.zeros(3, dtype=np.float32)),
                                        Tensor(np.ones(3, dtype=np.float64)))
         assert loss.dtype == np.float32
+
+
+class TestExpertDispatch:
+    # 3 rows, each routed to 2 of 4 experts; expert 1 gets no row.
+    ROWS = np.array([0, 2, 0, 1, 2, 1])
+    BOUNDS = np.array([0, 2, 2, 5, 6])
+
+    def test_each_expert_gets_its_rows(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        parts = F.dispatch_rows(x, self.ROWS, self.BOUNDS)
+        assert [part.shape for part in parts] == [(2, 2), (0, 2), (3, 2), (1, 2)]
+        np.testing.assert_array_equal(parts[2].data, x.data[[0, 1, 2]])
+
+    def test_combine_places_outputs_and_zeros_elsewhere(self):
+        values = np.arange(1.0, 7.0).reshape(6, 1)
+        parts = [Tensor(values[start:stop]) for start, stop in
+                 zip(self.BOUNDS[:-1], self.BOUNDS[1:])]
+        out = F.combine_rows(parts, self.ROWS, 3)
+        np.testing.assert_array_equal(out.data, [[1.0, 0.0, 3.0, 0.0],
+                                                 [0.0, 0.0, 4.0, 6.0],
+                                                 [2.0, 0.0, 5.0, 0.0]])
+
+    def test_round_trip_gradient_sums_each_rows_copies(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        parts = F.dispatch_rows(x, self.ROWS, self.BOUNDS)
+        out = F.combine_rows([part.sum(axis=1, keepdims=True) for part in parts],
+                             self.ROWS, 3)
+        (out * Tensor(np.arange(12.0).reshape(3, 4))).sum().backward()
+        # Row r's gradient is the sum of the weights at its routed cells.
+        np.testing.assert_array_equal(x.grad[:, 0], [0 + 2, 6 + 7, 8 + 10])
+
+    def test_unequal_routing_rejected(self):
+        with pytest.raises(ValueError, match="equally often"):
+            F.dispatch_rows(Tensor(np.ones((3, 2))), np.array([0, 0, 1, 2]),
+                            np.array([0, 4]))
+
+    def test_bounds_must_cover_rows(self):
+        with pytest.raises(ValueError, match="bounds"):
+            F.dispatch_rows(Tensor(np.ones((3, 2))), self.ROWS, np.array([0, 4]))
+
+    def test_combine_rejects_a_repeated_or_stray_row(self):
+        for rows in ([1, 1], [0, 3]):
+            with pytest.raises(ValueError, match="distinct within each expert"):
+                F.combine_rows([Tensor(np.ones((2, 1)))], np.array(rows), 3)
+
+    def test_combine_rejects_a_count_mismatch(self):
+        with pytest.raises(ValueError, match="routed rows"):
+            F.combine_rows([Tensor(np.ones((2, 1)))], np.array([0, 1, 2]), 3)

@@ -41,6 +41,25 @@ _GRU_WIH = Tensor(RNG(6).normal(size=(2, 9)) * 0.5)
 _GRU_BIH = Tensor(RNG(7).normal(size=9) * 0.1)
 _GRU_MASK = np.array([[1.0], [1.0], [0.0], [1.0]])
 _SEQ_LENGTHS = np.array([3, 1, 2, 3])
+# Expert dispatch fixtures: 3 rows, each routed to 2 of 4 experts; expert 1
+# gets no row.
+_DISPATCH_ROWS = np.array([0, 2, 0, 1, 2, 1])
+_DISPATCH_BOUNDS = np.array([0, 2, 2, 5, 6])
+_COMBINE_WEIGHTS = Tensor(RNG(8).normal(size=(3, 4)))
+
+
+def _dispatch_scaled(t):
+    # A distinct scale per expert makes a slice landing in the wrong
+    # expert's rows show in the gradient.
+    parts = F.dispatch_rows(t, _DISPATCH_ROWS, _DISPATCH_BOUNDS)
+    return nn.concatenate([part * float(index + 1)
+                           for index, part in enumerate(parts)], axis=0) ** 2
+
+
+def _combine_split(t):
+    parts = [t[start:stop] for start, stop in
+             zip(_DISPATCH_BOUNDS[:-1], _DISPATCH_BOUNDS[1:])]
+    return F.combine_rows(parts, _DISPATCH_ROWS, 3) * _COMBINE_WEIGHTS
 
 # name -> (fn, input) pairs; inputs avoid non-differentiable points (e.g.
 # relu kinks at 0) so central differences are well-defined.
@@ -77,6 +96,8 @@ GRADCHECK_CASES = {
                                 t, _GRU_WIH, _GRU_WHH, _GRU_BIH, _GRU_BHH,
                                 lengths=_SEQ_LENGTHS, reverse=True)[1],
                             RNG(0).normal(size=(4, 3, 2))),
+    "dispatch_rows": (_dispatch_scaled, RNG(0).normal(size=(3, 4))),
+    "combine_rows": (_combine_split, RNG(0).normal(size=(6, 1))),
 }
 
 # Exports that intentionally have no gradient path: plain-numpy helpers for

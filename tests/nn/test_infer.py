@@ -168,6 +168,29 @@ class TestCompiledLayers:
         x = rng.normal(size=(3, 2))
         np.testing.assert_allclose(module.compiled()(x), 2.0 * x)
 
+    def test_astype_after_compiling_casts_inputs(self, rng):
+        """The plan's dtype is read live: a cast after compiling still
+        lands float64 feeds on the new parameter dtype."""
+        class Gain(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.gain = nn.Parameter(np.full(2, 3.0))
+
+            def forward(self, x):
+                # x * gain follows numpy promotion, so an uncast float64
+                # feed would come out float64.
+                return nn.as_tensor(x) * self.gain
+
+        module = Gain()
+        plan = module.compiled()
+        x = rng.normal(size=(3, 2))
+        assert plan(x).dtype == np.float64
+        module.astype(np.float32)
+        assert plan.dtype == np.float32
+        out = plan(x)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, 3.0 * x, rtol=1e-6)
+
 
 class TestCompiledRecurrent:
     @pytest.mark.parametrize("lengths", [None, "ragged"])

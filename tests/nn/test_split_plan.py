@@ -139,7 +139,10 @@ def split_batch(dataset):
     return dataset.batch(np.arange(24))
 
 
-@pytest.mark.parametrize("arch", ["dnn", "adv-hsc-moe"])
+# MoERanker offers no split scorer (``make_split_scorer`` returns None):
+# its default scorer runs only each row's K selected towers, which beat a
+# split plan that runs every tower on every row.
+@pytest.mark.parametrize("arch", ["dnn"])
 class TestModelSplitScorers:
     @pytest.fixture()
     def ranker(self, arch, dataset, taxonomy, tiny_model_config):

@@ -1,5 +1,8 @@
 """Autograd engine tests: op semantics + finite-difference gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -424,6 +427,38 @@ class TestDeepGraph:
         b = t * 4.0
         (a + b).backward()
         np.testing.assert_allclose(t.grad, [7.0])
+
+
+class TestGraphRelease:
+    def test_activations_die_with_the_loss_after_backward(self):
+        """Every backward closure holds its own output, so a graph kept
+        after backward() is a reference cycle that only the cyclic
+        collector frees.  backward() releases it: with the collector off,
+        an intermediate activation dies once the loss is dropped."""
+        rng = np.random.default_rng(0)
+        weight = nn.Parameter(rng.normal(size=(4, 3)))
+        gc.disable()
+        try:
+            hidden = nn.functional.linear_relu(
+                Tensor(rng.normal(size=(5, 4))), weight)
+            activation = weakref.ref(hidden.data)
+            loss = (hidden * hidden).sum()
+            del hidden
+            loss.backward()
+            assert weight.grad is not None
+            del loss
+            assert activation() is None
+        finally:
+            gc.enable()
+
+    def test_backward_leaves_no_graph_behind(self):
+        t = Tensor([2.0], requires_grad=True)
+        hidden = t * 3.0
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        np.testing.assert_allclose(t.grad, [36.0])
+        for node in (loss, hidden):
+            assert node._prev == () and node._backward is None
 
 
 @settings(max_examples=25, deadline=None)

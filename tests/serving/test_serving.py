@@ -383,17 +383,34 @@ class TestRankingService:
         with pytest.raises(ValueError):
             RankingService(registry, num_workers=0)
 
-    def test_split_precompute_matches_reference(self, registry, model, batch):
+    def test_split_precompute_matches_reference(self, dataset, taxonomy,
+                                                tiny_model_config, batch):
         """split_precompute routes scoring through the split plan + shared
         prefix memo; answers must match the full plan to float rounding,
         repeat requests included (memoized prefixes)."""
+        dnn = build_model("dnn", dataset.spec, taxonomy, tiny_model_config)
+        assert dnn.make_split_scorer() is not None
+        registry = ModelRegistry()
+        registry.register("ranker", dnn)
         with RankingService(registry, default_model="ranker", max_wait_ms=0.0,
                             num_workers=2, split_precompute=True) as service:
             first = service.rank(batch, top_k=6)
             second = service.rank(batch, top_k=6)
-        expected = np.sort(model.score(batch))[::-1][:6]
+        expected = np.sort(dnn.score(batch))[::-1][:6]
         np.testing.assert_allclose(first.scores, expected, atol=1e-9)
         np.testing.assert_allclose(second.scores, expected, atol=1e-9)
+
+    def test_split_precompute_serves_moe_through_its_scorer(
+            self, registry, model, batch):
+        """MoE models offer no split plan, so the flag leaves them on the
+        sparse compiled scorer: answers equal ``score``."""
+        assert model.make_split_scorer() is None
+        with RankingService(registry, default_model="ranker", max_wait_ms=0.0,
+                            num_workers=2, split_precompute=True) as service:
+            response = service.rank(batch, top_k=6)
+        np.testing.assert_allclose(response.scores,
+                                   np.sort(model.score(batch))[::-1][:6],
+                                   atol=1e-12)
 
     def test_split_precompute_falls_back_without_support(self, batch):
         """Models without make_split_scorer (arbitrary scorables) must

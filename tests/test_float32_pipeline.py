@@ -65,8 +65,10 @@ class TestQuerycatFloat32:
                 QueryClassifierConfig(embedding_dim=6, hidden_size=5, seed=0))
             logits = model(queries.tokens[:16], queries.lengths[:16])
             loss = nn.losses.cross_entropy(logits, queries.sc_ids[:16])
+            # Walk before backward(), which releases the graph.
+            dtypes = _graph_dtypes(loss)
             loss.backward()
-        assert _graph_dtypes(loss) == {np.dtype(np.float32)}, (
+        assert dtypes == {np.dtype(np.float32)}, (
             "float64 tensor leaked into the float32 querycat loss graph")
         assert all(p.grad.dtype == np.float32 for p in model.parameters())
 
@@ -86,7 +88,7 @@ class TestQuerycatFloat32:
 
 
 class TestRankingFloat32:
-    @pytest.mark.parametrize("name", ["dnn", "moe", "4-mmoe"])
+    @pytest.mark.parametrize("name", ["dnn", "moe", "adv-hsc-moe", "4-mmoe"])
     def test_model_loss_graph_is_pure_float32(self, name, train_dataset,
                                               tiny_model_config):
         taxonomy = default_taxonomy()
@@ -96,9 +98,13 @@ class TestRankingFloat32:
                                 train_dataset=small)
             loss, _ = model.loss(small.batch(np.arange(128)),
                                  rng=np.random.default_rng(0))
+            # Walk before backward(), which releases the graph.
+            dtypes = _graph_dtypes(loss)
             loss.backward()
-        assert _graph_dtypes(loss) == {np.dtype(np.float32)}, (
+        assert dtypes == {np.dtype(np.float32)}, (
             f"float64 tensor leaked into the float32 {name} loss graph")
+        assert all(p.grad.dtype == np.float32 for p in model.parameters()
+                   if p.grad is not None)
 
     def test_trainer_casts_dataset_once(self, train_dataset, test_dataset,
                                         tiny_model_config):
