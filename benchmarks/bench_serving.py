@@ -7,22 +7,20 @@ Tracks the two numbers that matter for the production story:
   reference, and end to end through :meth:`RankingService.rank` including
   querycat intent classification.
 * **micro-batched throughput** — many concurrent single-session requests
-  drained through :class:`repro.serving.BatchScorer`, which coalesces them
-  into a few model invocations (≈54 µs/row at batch 1 vs ≈10 µs/row at
-  batch 32 on the paper tower, f64).
+  drained through a single-worker :class:`repro.serving.ScorerPool`,
+  which coalesces them into a few model invocations (≈54 µs/row at batch
+  1 vs ≈10 µs/row at batch 32 on the paper tower, f64).
 * **over-the-wire multi-client throughput** — closed-loop clients hammering
-  a real :class:`ServingServer` over HTTP, single-worker ``BatchScorer``
-  semantics (``num_workers=1``) vs a 4-worker :class:`ScorerPool`.  The
-  pool overlaps the coalescing waits (and, on multi-core BLAS, the
-  scoring) of concurrent micro-batches; the PR 4 acceptance number is the
-  pool:single throughput ratio at batchable load.
+  a real :class:`ServingServer` over HTTP, a single-worker pool
+  (``num_workers=1``) vs a 4-worker :class:`ScorerPool`.  The pool
+  overlaps the coalescing waits (and, on multi-core BLAS, the scoring) of
+  concurrent micro-batches; the number to watch is the pool:single
+  throughput ratio at batchable load.
 * **connection scaling** — the same closed-loop load at 1 → 256 concurrent
-  keep-alive sockets, selector vs threaded backend (the PR 5 tentpole
-  comparison: the event loop holds hundreds of connections without a
-  thread each, at zero errors).
-* **micro-batch cap policy** — a static ``max_batch_rows`` sweep vs the
-  adaptive backlog-driven cap on the pool; the adaptive point must land
-  within 10% of the best hand-tuned static cap with no tuning.
+  keep-alive sockets through the selector event loop, which holds
+  hundreds of connections without a thread each, at zero errors.
+* **micro-batch cap policy** — the adaptive backlog-driven cap draining a
+  concurrent burst through a 4-worker pool.
 * **int8 quantized plans** — single-request and micro-batch scoring
   through the quantized compiled plan vs the f32 plan on a tower large
   enough that f32 weights stream from memory (PR 10: the win is the 4x
@@ -44,8 +42,8 @@ from repro import nn
 from repro.experiments.common import build_environment, model_config
 from repro.models import build_model
 from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
-from repro.serving import (BatchScorer, ModelRegistry, RankingService,
-                           ResultCache, ServingClient, ServingError,
+from repro.serving import (ModelRegistry, RankingService, ResultCache,
+                           ScorerPool, ServingClient, ServingError,
                            ServingServer, latency_percentile, run_load,
                            save_checkpoint, save_environment,
                            serve_from_directory)
@@ -98,21 +96,22 @@ def test_single_request_service_rank(benchmark, served):
 
 
 def test_microbatched_throughput(benchmark, served):
-    """64 concurrent 4-row requests drained through the BatchScorer.
+    """64 concurrent 4-row requests drained through a single-worker pool.
 
-    The scorer coalesces them into a handful of model invocations; the
+    The worker coalesces them into a handful of model invocations; the
     interesting number is rows/second versus the single-request bench.
     """
     _, dataset, model, _ = served
     requests = [dataset.batch(np.arange(i, i + 4)) for i in range(64)]
 
-    with BatchScorer(model.score, max_batch_rows=256, max_wait_ms=2.0) as scorer:
+    with ScorerPool(lambda: model.score, num_workers=1, max_batch_rows=256,
+                    max_wait_ms=2.0) as pool:
         def drain():
-            futures = [scorer.submit(batch) for batch in requests]
+            futures = [pool.submit(batch) for batch in requests]
             return [future.result() for future in futures]
 
         results = benchmark(drain)
-        stats = scorer.stats()
+        stats = pool.stats()
         benchmark.extra_info["mean_batch_rows"] = stats.mean_batch_rows
         benchmark.extra_info["throughput_rows_per_s"] = stats.throughput_rows_per_s
     assert len(results) == 64
@@ -169,10 +168,9 @@ def _drain_over_wire(url: str, dataset, clients: int, requests_each: int,
 def _bench_wire(benchmark, served, num_workers: int) -> None:
     """Boot a gateway with an N-worker pool and benchmark the full drain.
 
-    ``num_workers=1`` reproduces the PR 3 single-worker ``BatchScorer``
-    service; both configurations keep the default 2 ms coalescing wait, so
-    the comparison isolates the pool (overlapped micro-batch windows),
-    not a retuned knob.
+    ``num_workers=1`` is the single-worker pool; both configurations keep
+    the default knobs, so the comparison isolates the pool (overlapped
+    micro-batch windows), not a retuned knob.
     """
     _, dataset, model, _ = served
     registry = ModelRegistry()
@@ -210,7 +208,7 @@ def _bench_wire(benchmark, served, num_workers: int) -> None:
 
 
 def test_http_multiclient_single_worker(benchmark, served):
-    """Baseline: the gateway scoring through one worker (PR 3 semantics)."""
+    """Baseline: the gateway scoring through one worker."""
     _bench_wire(benchmark, served, num_workers=1)
 
 
@@ -495,21 +493,19 @@ def test_http_zipf_cached_vs_uncached_throughput(benchmark, paper_served):
 
 
 # ----------------------------------------------------------------------
-# Connection scaling: selector vs threaded backend, 1 → 256 sockets
+# Connection scaling: 1 → 256 keep-alive sockets
 # ----------------------------------------------------------------------
 _SCALING_TOTAL_REQUESTS = 512           # fixed work per step, any concurrency
 
 
-@pytest.mark.parametrize("backend", ["selector", "threaded"])
 @pytest.mark.parametrize("clients", [1, 8, 64, 256])
-def test_http_connection_scaling(benchmark, served, backend, clients):
+def test_http_connection_scaling(benchmark, served, clients):
     """Closed-loop keep-alive clients at growing connection counts.
 
-    The PR 5 acceptance sweep: the selector backend must hold 256
-    concurrent sockets with zero errors at throughput no worse than the
-    threaded backend's 6-client regime, without a thread per connection.
-    The total request count is fixed, so each step's wall clock measures
-    per-connection overhead, not extra work.
+    The selector event loop must hold 256 concurrent sockets with zero
+    errors, without a thread per connection.  The total request count is
+    fixed, so each step's wall clock measures per-connection overhead,
+    not extra work.
     """
     _, dataset, model, _ = served
     registry = ModelRegistry()
@@ -517,7 +513,7 @@ def test_http_connection_scaling(benchmark, served, backend, clients):
     service = RankingService(registry, default_model="ranker", num_workers=4)
     requests_each = max(1, _SCALING_TOTAL_REQUESTS // clients)
     last = {}
-    with ServingServer(service, port=0, backend=backend) as server:
+    with ServingServer(service, port=0) as server:
         server.start()
         probe = ServingClient(server.url)
         probe.wait_ready(timeout_s=30)
@@ -534,17 +530,11 @@ def test_http_connection_scaling(benchmark, served, backend, clients):
         # operation, and the sweep's shape matters more than its noise.
         latencies = benchmark.pedantic(drain, rounds=1, iterations=1,
                                        warmup_rounds=0)
-    # Zero errors at every connection count is the *selector* acceptance
-    # gate.  The threaded backend is expected to degrade at high socket
-    # counts (that is the motivation for the event loop); its error count
-    # is recorded as data instead.
-    if backend == "selector":
-        assert last["errors"] == 0, \
-            f"{last['errors']} errors at {clients} clients"
-    assert len(latencies) == clients * requests_each - last["errors"]
+    # Zero errors at every connection count is the acceptance gate.
+    assert last["errors"] == 0, f"{last['errors']} errors at {clients} clients"
+    assert len(latencies) == clients * requests_each
     samples = np.asarray(last["latencies"])
     total_rows = clients * requests_each * _WIRE_ROWS
-    benchmark.extra_info["backend"] = backend
     benchmark.extra_info["clients"] = clients
     benchmark.extra_info["errors"] = last["errors"]
     benchmark.extra_info["rows_per_s"] = total_rows / last["elapsed"]
@@ -553,7 +543,7 @@ def test_http_connection_scaling(benchmark, served, backend, clients):
 
 
 # ----------------------------------------------------------------------
-# Adaptive vs static micro-batch caps on the ScorerPool
+# The adaptive micro-batch cap on the ScorerPool
 # ----------------------------------------------------------------------
 _CAP_REQUESTS = 96
 _CAP_ROWS = 8
@@ -561,21 +551,13 @@ _CAP_SUBMITTERS = 4
 _CAP_DELAY_PER_ROW_S = 0.00025
 
 
-def _bench_pool_cap(benchmark, served, adaptive: bool,
-                    max_batch_rows: int) -> None:
-    """Drain a concurrent burst through a 4-worker pool under one cap
-    policy, with the GIL-releasing proxy scorer (the regime where the
-    per-worker cap matters: scoring parallelizes, so how the backlog is
-    split across workers decides the wall clock — per-device batch caps,
-    as in GPU serving).  The sweep over static caps brackets the
-    hand-tuned optimum; the adaptive run must land within 10% of the best
-    static point with no tuning — the PR 5 acceptance comparison.
-
-    (With GIL-bound single-core scoring the comparison is degenerate:
-    one mega-batch is always best because splitting cannot buy
-    parallelism, so "hand-tuning" would just pick the maximum.  The
-    compute-bound batching win itself is pinned by
-    ``test_microbatched_throughput``.)
+def test_pool_adaptive_cap(benchmark, served):
+    """Drain a concurrent burst through a 4-worker pool under the
+    adaptive cap with default clamps (no per-deployment tuning), with the
+    GIL-releasing proxy scorer: the regime where the per-worker cap
+    matters, because scoring parallelizes and how the backlog is split
+    across workers decides the wall clock (per-device batch caps, as in
+    GPU serving).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -583,11 +565,8 @@ def _bench_pool_cap(benchmark, served, adaptive: bool,
     requests = [dataset.batch(np.arange(i % 64, i % 64 + _CAP_ROWS))
                 for i in range(_CAP_REQUESTS)]
     proxy = _ParallelScoringModel(_CAP_DELAY_PER_ROW_S)
-    from repro.serving import ScorerPool
-
-    with ScorerPool(proxy.make_scorer, num_workers=4,
-                    max_batch_rows=max_batch_rows, max_wait_ms=2.0,
-                    adaptive_batch=adaptive) as pool:
+    with ScorerPool(proxy.make_scorer, num_workers=4, max_batch_rows=256,
+                    max_wait_ms=2.0) as pool:
         def drain():
             with ThreadPoolExecutor(max_workers=_CAP_SUBMITTERS) as executor:
                 futures = list(executor.map(pool.submit, requests))
@@ -596,26 +575,8 @@ def _bench_pool_cap(benchmark, served, adaptive: bool,
         results = benchmark(drain)
         stats = pool.stats()
     assert len(results) == _CAP_REQUESTS
-    benchmark.extra_info["adaptive"] = adaptive
-    benchmark.extra_info["max_batch_rows"] = max_batch_rows
     benchmark.extra_info["mean_batch_rows"] = stats.mean_batch_rows
     benchmark.extra_info["throughput_rows_per_s"] = stats.throughput_rows_per_s
-
-
-@pytest.mark.parametrize("cap", [8, 32, 64, 128, 256])
-def test_pool_static_cap_sweep(benchmark, served, cap):
-    """Hand-tuned static ``max_batch_rows`` sweep (the tuning the
-    adaptive policy is meant to make unnecessary).  768 rows across 4
-    workers: small caps over-fragment (per-batch overhead), large caps
-    starve workers (one mega-batch scores serially); the optimum sits
-    in between and depends on load — exactly what a config knob gets
-    wrong as traffic shifts."""
-    _bench_pool_cap(benchmark, served, adaptive=False, max_batch_rows=cap)
-
-
-def test_pool_adaptive_cap(benchmark, served):
-    """Adaptive policy, default clamps — no per-deployment tuning."""
-    _bench_pool_cap(benchmark, served, adaptive=True, max_batch_rows=256)
 
 
 # ----------------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_tower_score_single_compiled(benchmark):
 def test_tower_score_microbatch_compiled(benchmark):
     """A serving micro-batch (32 rows) through the compiled plan.
 
-    This is the configuration ``repro.serving.BatchScorer`` produces under
+    This is the configuration ``repro.serving.ScorerPool`` produces under
     concurrent traffic.  Measured ≈10 µs/row f64 (≈5 µs/row f32) vs the
     ≈54 µs/row single-request no_grad baseline — the micro-batched compiled
     path clears the ≥3x acceptance target with ≈5x in float64 alone
@@ -248,31 +248,6 @@ def test_tower_score_microbatch_compiled_float32(benchmark):
 
     out = benchmark(plan, x)
     assert out.dtype == np.float32 and np.isfinite(out).all()
-
-
-def test_tower_score_microbatch_split_prefix_reuse(benchmark):
-    """The split plan with a warm item-side prefix (32-row micro-batch).
-
-    48 of the tower's 64 input columns are item-side; with their
-    first-layer contribution memoized (``--split-precompute`` steady
-    state for repeat items), a request pays only the 16-column
-    query-side matmul plus the remaining layers.  Compare against
-    ``test_tower_score_microbatch_compiled``: the saving is the static
-    3/4 of the first layer's matmul (the 512x256 second layer still
-    runs), measured ≈12% per micro-batch on this shape.
-    """
-    from repro.nn.infer import SplitMLP
-
-    tower = _make_score_tower()
-    static = np.arange(48)              # item-side columns
-    dynamic = np.arange(48, 64)         # query-side columns
-    split = SplitMLP(tower, static, dynamic)
-    x = np.random.default_rng(1).normal(size=(32, 64))
-    prefix = split.prefix(x[:, static])     # memo-warm: computed once
-    x_dynamic = np.ascontiguousarray(x[:, dynamic])
-
-    out = benchmark(split, prefix, x_dynamic)
-    np.testing.assert_allclose(out, tower.compiled()(x), atol=1e-10)
 
 
 def _gru_epoch(gru, tokens_embedded, lengths, batch_size, bucketed):

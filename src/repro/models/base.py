@@ -21,23 +21,12 @@ from ..nn.infer import sigmoid_array
 from ..nn.layers import check_embedding_ids
 
 __all__ = ["ModelOutput", "FeatureEmbedder", "RankingModel",
-           "DEFAULT_INPUT_FEATURES", "GATE_FEATURE_PRESETS",
-           "QUERY_SIDE_FEATURES"]
+           "DEFAULT_INPUT_FEATURES", "GATE_FEATURE_PRESETS"]
 
 # Sparse features entering the model input X by default.  The query TC is
 # omitted (derivable from SC — §4.3); the query hash bucket is available but
 # excluded by default since it mostly adds vocabulary noise.
 DEFAULT_INPUT_FEATURES = ("query_sc", "brand", "item_sc", "user_segment")
-
-# Features that vary with the query/user rather than the candidate item.
-# The split-plan precompute (see :meth:`RankingModel.make_split_scorer`)
-# treats every other input column — item embeddings and the numeric block —
-# as item-side and memoizes its first-layer contribution per distinct row.
-# Numeric features that in fact depend on the query (e.g. a relevance
-# score) stay *correct* under that treatment — the memo key covers the raw
-# bytes — they just fragment the memo instead of reusing it.
-QUERY_SIDE_FEATURES = frozenset({"query_sc", "query_tc", "query_bucket",
-                                 "user_segment"})
 
 # Table 5 gate-input presets.  "all" additionally appends the numeric vector.
 GATE_FEATURE_PRESETS: dict[str, tuple[str, ...]] = {
@@ -172,57 +161,6 @@ class FeatureEmbedder(nn.Module):
             parts.append(np.asarray(batch.numeric, dtype=self.dtype))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    # ------------------------------------------------------------------
-    # Split-plan precompute support (see repro.nn.infer.SplitMLP)
-    # ------------------------------------------------------------------
-    def item_feature_names(self) -> tuple[str, ...]:
-        """Input features treated as item-side by the split precompute."""
-        return tuple(name for name in self.input_features
-                     if name not in QUERY_SIDE_FEATURES)
-
-    def input_column_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(item_cols, query_cols)`` index arrays into X (eq. 2 layout).
-
-        Item columns are the embedding blocks of every non-query-side
-        input feature plus the whole numeric block; query columns are the
-        rest.  Together they partition ``range(input_width)`` — the
-        contract :class:`~repro.nn.infer.SplitMLP` validates.
-        """
-        item: list[int] = []
-        query: list[int] = []
-        offset = 0
-        for name in self.input_features:
-            block = range(offset, offset + self.embedding_dim)
-            (query if name in QUERY_SIDE_FEATURES else item).extend(block)
-            offset += self.embedding_dim
-        item.extend(range(offset, offset + self.spec.num_numeric))
-        return (np.asarray(item, dtype=np.intp),
-                np.asarray(query, dtype=np.intp))
-
-    def item_row_keys(self, batch: Batch) -> list[bytes]:
-        """Per-row digests of the item-side features (prefix-memo keys).
-
-        Keys cover exactly the raw inputs feeding the item-side columns
-        of :meth:`input_column_split` — the sparse ids (not their
-        embeddings) and the canonicalized numeric block — so two rows
-        share a key iff their memoized prefix is identical.  Floats are
-        canonicalized the same way as
-        :func:`repro.serving.cache.canonical_key` (float64, one NaN bit
-        pattern, ``-0.0`` folded into ``+0.0``).
-        """
-        ids = [np.asarray(batch.sparse[name], dtype=np.int64)
-               for name in self.item_feature_names()]
-        id_block = np.ascontiguousarray(np.column_stack(ids)) if ids else None
-        numeric = np.asarray(batch.numeric, dtype=np.float64) + 0.0
-        nans = np.isnan(numeric)
-        if nans.any():
-            numeric[nans] = np.nan
-        numeric = np.ascontiguousarray(numeric)
-        if id_block is None:
-            return [numeric[row].tobytes() for row in range(len(batch))]
-        return [id_block[row].tobytes() + numeric[row].tobytes()
-                for row in range(len(batch))]
-
 
 class RankingModel(nn.Module):
     """Interface all ranking models implement."""
@@ -313,25 +251,6 @@ class RankingModel(nn.Module):
 
             return serialized
         return scorer
-
-    def make_split_scorer(self, prefix_memo=None):
-        """A split-plan scoring closure, or ``None`` when unsupported.
-
-        Models whose towers admit the first-layer column split (see
-        :class:`~repro.nn.infer.SplitMLP`) override this: the item-side
-        contribution to the first hidden layer is memoized per distinct
-        item row (``prefix_memo``, a
-        :class:`~repro.nn.infer.PrefixMemo`; pass one instance to every
-        worker's closure so the pool shares the memo) and only the
-        query-side columns' matmul plus the rest of the tower run per
-        request.  Split scores match :meth:`score` to float rounding,
-        not bit-for-bit (the first matmul's summation order changes).
-
-        The base implementation returns ``None`` — callers fall back to
-        :meth:`make_scorer`.
-        """
-        del prefix_memo
-        return None
 
     def _build_scorer(self):
         """Build the compiled scoring closure.

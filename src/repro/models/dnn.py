@@ -12,7 +12,7 @@ import numpy as np
 from .. import nn
 from ..data.dataset import Batch
 from ..data.schema import FeatureSpec
-from ..nn.infer import PrefixMemo, SplitMLP, sigmoid_array
+from ..nn.infer import sigmoid_array
 from .base import FeatureEmbedder, ModelOutput, RankingModel
 from .config import ModelConfig
 
@@ -42,33 +42,6 @@ class DNNRanker(RankingModel):
         def score(batch: Batch) -> np.ndarray:
             x = self.embedder.model_input_array(batch)
             return sigmoid_array(tower(x).reshape(-1))
-        return score
-
-    def make_split_scorer(self, prefix_memo: PrefixMemo | None = None):
-        """Split-plan scoring: memoized item-side first-layer prefix.
-
-        The item embedding blocks + numeric columns contribute a
-        query-independent term to the tower's first hidden layer; that
-        term is computed once per distinct item row (keyed by the raw
-        item features) and reused, so repeat items cost only the
-        query-side matmul plus the remaining layers.  See
-        :class:`~repro.nn.infer.SplitMLP` for the weight-snapshot and
-        float-rounding caveats.
-        """
-        embedder = self.embedder
-        item_cols, query_cols = embedder.input_column_split()
-        if item_cols.size == 0 or query_cols.size == 0:
-            return None                 # nothing to split
-        split = SplitMLP(self.tower, item_cols, query_cols)
-        memo = prefix_memo if prefix_memo is not None else PrefixMemo()
-
-        def score(batch: Batch) -> np.ndarray:
-            x = embedder.model_input_array(batch)
-            x_item = np.ascontiguousarray(x[:, item_cols])
-            x_query = np.ascontiguousarray(x[:, query_cols])
-            keys = embedder.item_row_keys(batch)
-            prefix = memo.lookup(keys, lambda rows: split.prefix(x_item[rows]))
-            return sigmoid_array(split(prefix, x_query).reshape(-1))
         return score
 
     def loss(self, batch: Batch, rng: np.random.Generator | None = None

@@ -24,8 +24,8 @@ Semantics
   flip simply allocates a fresh set.)
 * Returned arrays are **owned by the plan** and overwritten by the next
   call with the same batch size — ``.copy()`` them to retain results.
-* Plans are **not thread-safe** (the scratch buffers are shared state);
-  :class:`repro.serving.BatchScorer` serializes calls through one worker.
+* Plans are **not thread-safe** (the scratch buffers are shared state):
+  a :class:`repro.serving.ScorerPool` hands each worker its own plan.
 * :class:`~repro.nn.rnn.GRU` compiles to its serving-relevant output — the
   final hidden state ``(batch, hidden)`` — rather than the per-step output
   list the Tensor path returns.  ``BiGRU`` returns the same concatenated
@@ -51,7 +51,6 @@ evaluation — the parity suite pins ≤1e-12 in float64 and ≤1e-6 in float32.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
@@ -65,8 +64,7 @@ from .tensor import Tensor, _stable_sigmoid, no_grad
 
 __all__ = ["CompiledPlan", "BufferPool", "RowBufferPool", "compile_module",
            "register_compiler",
-           "softmax_array", "masked_softmax_array", "sigmoid_array",
-           "SplitMLP", "PrefixMemo"]
+           "softmax_array", "masked_softmax_array", "sigmoid_array"]
 
 
 # ----------------------------------------------------------------------
@@ -252,171 +250,6 @@ def compile_module(module: Module, pool: BufferPool | None = None
         pool = BufferPool()
     pool.rewind()
     return CompiledPlan(module, _compile(module, pool), pool)
-
-
-# ----------------------------------------------------------------------
-# Split-plan precompute: query-independent prefix + per-request suffix
-# ----------------------------------------------------------------------
-class SplitMLP:
-    """Column-split compiled MLP: a precomputable prefix plus a suffix.
-
-    The first ``Linear`` of an MLP is a sum over input columns —
-    ``x @ W == x[:, a] @ W[a, :] + x[:, b] @ W[b, :]`` for any partition
-    ``(a, b)`` of the columns — so when some columns are query-independent
-    (item embeddings, numeric item features), their contribution to the
-    first hidden layer can be computed **once per item** and reused across
-    every request that scores that item.  ``prefix(x_static)`` computes
-    that contribution; calling the split plan with a looked-up prefix and
-    the dynamic (query-side) columns finishes the first layer (dynamic
-    matmul + prefix + bias + fused relu) and runs the remaining compiled
-    steps.
-
-    Unlike :class:`CompiledPlan`, the first layer's weights are
-    **snapshotted at construction**: a memoized prefix is only valid
-    against the exact weights it was computed with, so the split plan
-    pins them.  Serving models are frozen per checkpoint version (a hot
-    reload builds a new model object, hence a new split plan), which is
-    exactly the granularity the memo needs.  Do not use a split plan on
-    a model still being trained.
-
-    Numerics: the column split changes the first matmul's summation
-    order, so split scores match the unsplit plan to float rounding
-    (≤1e-10 in float64), **not** bit-for-bit — the result cache, which
-    stores computed arrays verbatim, is the bit-identical layer.
-    """
-
-    def __init__(self, module: MLP, static_columns, dynamic_columns):
-        if not module._plan:
-            raise ValueError("cannot split an empty MLP")
-        kind, first = module._plan[0]
-        if not isinstance(first, Linear):
-            raise ValueError("split requires the MLP to start with a Linear "
-                             f"layer, got {type(first).__name__}")
-        if getattr(first, "quantized", None) is not None:
-            # The snapshot below would capture the NaN placeholder a
-            # quantized hydration leaves in weight.data.
-            raise ValueError("split plans snapshot the full-precision first "
-                             "layer; quantized models cannot be split")
-        static_columns = np.asarray(static_columns, dtype=np.intp).reshape(-1)
-        dynamic_columns = np.asarray(dynamic_columns, dtype=np.intp).reshape(-1)
-        weight = first.weight.data
-        claimed = np.zeros(weight.shape[0], dtype=np.int64)
-        np.add.at(claimed, static_columns, 1)
-        np.add.at(claimed, dynamic_columns, 1)
-        if not np.all(claimed == 1):
-            raise ValueError("static/dynamic columns must partition the "
-                             f"{weight.shape[0]} input columns exactly once")
-        self._w_static = np.ascontiguousarray(weight[static_columns, :])
-        self._w_dynamic = np.ascontiguousarray(weight[dynamic_columns, :])
-        self._bias = None if first.bias is None else first.bias.data.copy()
-        self._fused_relu = kind == "linear_relu"
-        self._pool = BufferPool()
-        self._head_step = self._pool.reserve()
-        self._tail = []
-        for tail_kind, sub in module._plan[1:]:
-            if tail_kind == "linear_relu":
-                self._tail.append(_linear_relu_step(sub, self._pool))
-            else:
-                self._tail.append(_compile(sub, self._pool))
-
-    @property
-    def prefix_width(self) -> int:
-        """Width of one prefix row (the first hidden layer's size)."""
-        return self._w_static.shape[1]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._w_static.dtype
-
-    def prefix(self, x_static: np.ndarray) -> np.ndarray:
-        """Query-independent first-layer contribution (caller-owned)."""
-        x_static = np.asarray(x_static, dtype=self._w_static.dtype)
-        return x_static @ self._w_static
-
-    def __call__(self, prefix: np.ndarray, x_dynamic: np.ndarray) -> np.ndarray:
-        """Finish the forward: dynamic columns + looked-up prefix rows.
-
-        Returns a plan-owned array (same ownership contract as
-        :class:`CompiledPlan` — copy to retain).  Not thread-safe; hand
-        each worker its own instance.
-        """
-        x_dynamic = np.asarray(x_dynamic, dtype=self._w_dynamic.dtype)
-        out = self._pool.get(self._head_step,
-                             (x_dynamic.shape[0], self._w_dynamic.shape[1]),
-                             self._w_dynamic.dtype)
-        np.matmul(x_dynamic, self._w_dynamic, out=out)
-        out += prefix
-        if self._bias is not None:
-            out += self._bias
-        if self._fused_relu:
-            np.maximum(out, 0.0, out=out)
-        for step in self._tail:
-            out = step(out)
-        return out
-
-
-class PrefixMemo:
-    """Thread-safe bounded LRU of precomputed per-item prefix rows.
-
-    Keys are per-row digests of the item-side input features (see
-    :meth:`FeatureEmbedder.item_row_keys`); values are the matching
-    :meth:`SplitMLP.prefix` rows.  One memo serves every worker of one
-    ``(model, version)`` scorer pool — **never** share a memo across
-    model versions (the prefixes are weight snapshots; see
-    :class:`SplitMLP`).
-    """
-
-    def __init__(self, max_items: int = 8192):
-        if max_items <= 0:
-            raise ValueError("max_items must be positive")
-        self.max_items = int(max_items)
-        self._lock = threading.Lock()
-        self._rows: dict[bytes, np.ndarray] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def lookup(self, keys: list[bytes], compute) -> np.ndarray:
-        """Stacked prefix rows for ``keys``, computing the missing ones.
-
-        ``compute(positions)`` receives the positional indices (into
-        ``keys``) of the rows not in the memo and returns the matching
-        ``(len(positions), width)`` block.  Duplicate missing keys within
-        one batch are computed per position (correct, marginally
-        redundant).  Returns a caller-owned ``(len(keys), width)`` array.
-        """
-        with self._lock:
-            found: list[np.ndarray | None] = []
-            for key in keys:
-                row = self._rows.pop(key, None)
-                if row is not None:
-                    self._rows[key] = row   # reinsert: most recently used
-                    self._hits += 1
-                found.append(row)
-        missing = [i for i, row in enumerate(found) if row is None]
-        if missing:
-            computed = np.asarray(compute(np.asarray(missing, dtype=np.intp)))
-            with self._lock:
-                self._misses += len(missing)
-                for j, i in enumerate(missing):
-                    row = np.ascontiguousarray(computed[j])
-                    found[i] = row
-                    self._rows.pop(keys[i], None)
-                    self._rows[keys[i]] = row
-                while len(self._rows) > self.max_items:
-                    self._rows.pop(next(iter(self._rows)))
-                    self._evictions += 1
-        return np.stack(found, axis=0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"items": len(self._rows), "max_items": self.max_items,
-                    "hits": self._hits, "misses": self._misses,
-                    "evictions": self._evictions}
 
 
 # ----------------------------------------------------------------------

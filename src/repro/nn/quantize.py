@@ -181,9 +181,9 @@ def hydrate_quantized(model: Module, state: dict[str, np.ndarray],
 
     The replaced float32 weights are **not resident** afterwards: each
     quantized Linear's ``weight.data`` becomes a zero-memory broadcast of
-    NaN, so any code path that bypasses the quantized kernels (Tensor
-    forward, split-plan snapshots) poisons its output instead of silently
-    serving garbage.  The model is inference-only from here.
+    NaN, so any code path that bypasses the quantized kernels (the Tensor
+    forward) poisons its output instead of silently serving garbage.  The
+    model is inference-only from here.
     """
     linears = quantizable_weights(model)
     missing_q = set(quantized) - set(linears)

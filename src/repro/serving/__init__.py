@@ -4,12 +4,12 @@ Training produces models; this package serves them: checkpoint
 persistence (``state_dict`` → ``.npz`` + JSON config, plus the
 ``environment.json`` bundle a checkpoint directory is served from), a
 versioned :class:`ModelRegistry` with hot reload-from-directory, the
-micro-batching :class:`BatchScorer` and its N-worker
-:class:`ScorerPool` generalization (latency/throughput stats included),
-a :class:`RankingService` composing querycat intent → model selection →
-pooled scoring → top-k, and a three-layer wire stack: connection
-transports (:mod:`repro.serving.transport` — the default selector event
-loop plus the threaded fallback), incremental HTTP/1.1 framing
+micro-batching N-worker :class:`ScorerPool` with its adaptive batch cap
+(latency/throughput stats included), a :class:`RankingService` composing
+querycat intent → model selection → pooled scoring → top-k, and a
+three-layer wire stack: the connection transport
+(:mod:`repro.serving.transport` — a selector event loop, optionally
+sharded over several loops on one port), incremental HTTP/1.1 framing
 (:mod:`repro.serving.protocol`), and transport-agnostic JSON dispatch
 (:mod:`repro.serving.handlers`), composed by the :class:`ServingServer`
 gateway (``python -m repro.serving.server``) with the
@@ -30,11 +30,9 @@ Repeat traffic rides the Zipfian fast path: a version-keyed
 :class:`ResultCache` in front of the scorer pools (the model version
 lives in the key, so hot reload invalidates structurally) answers
 repeat ``(version, intent, candidates)`` requests bit-identically
-without scoring, and ``--split-precompute`` factors each supported
-model's compiled plan into a memoized query-independent item prefix
-plus a per-request query suffix (:class:`~repro.nn.infer.SplitMLP`).
-``python -m repro.serving.loadgen --zipf S`` generates the matching
-skewed workload and gates on the gateway's own hit-rate counters.
+without scoring.  ``python -m repro.serving.loadgen --zipf S``
+generates the matching skewed workload and gates on the gateway's own
+hit-rate counters.
 """
 
 from .breaker import BreakerConfig, CircuitBreaker
@@ -54,13 +52,12 @@ from .metrics import LatencyHistogram, log_spaced_buckets
 from .procscorer import ProcessScorerError, ProcessScorerHost
 from .protocol import ProtocolError, RequestParser
 from .registry import ModelRegistry, RegisteredModel
-from .scorer import (BatchScorer, DeadlineExceeded, PoolOverloaded,
+from .scorer import (DeadlineExceeded, NonFiniteScores, PoolOverloaded,
                      ScorerPool, ScorerStats, concat_batches,
                      latency_percentile)
 from .server import ApiError, ServingServer, serve_from_directory
 from .service import RankingResponse, RankingService, candidate_batch
-from .transport import (GatewayCounters, SelectorTransport, ShardedTransport,
-                        ThreadedTransport)
+from .transport import GatewayCounters, SelectorTransport, ShardedTransport
 
 __all__ = [
     "save_checkpoint",
@@ -74,11 +71,11 @@ __all__ = [
     "ENVIRONMENT_FILENAME",
     "ModelRegistry",
     "RegisteredModel",
-    "BatchScorer",
     "ScorerPool",
     "ScorerStats",
     "PoolOverloaded",
     "DeadlineExceeded",
+    "NonFiniteScores",
     "BreakerConfig",
     "CircuitBreaker",
     "ResultCache",
@@ -102,7 +99,6 @@ __all__ = [
     "GatewayCounters",
     "SelectorTransport",
     "ShardedTransport",
-    "ThreadedTransport",
     "ProcessScorerHost",
     "ProcessScorerError",
     "ensure_weight_store",

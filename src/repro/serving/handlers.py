@@ -3,14 +3,13 @@
 The dispatch layer of the three-layer gateway split: given a method, a
 path, and a raw body, :class:`GatewayDispatcher` routes to an endpoint
 handler and returns ``(status, payload, extra headers)``.  It never
-touches a socket or an HTTP byte — both the selector transport and the
-threaded fallback feed it the same way, which is what pins behavioral
-parity between the two front-ends.
+touches a socket or an HTTP byte; the transport feeds it parsed requests.
 
 Every endpoint handler returns a JSON-safe dict or raises
 :class:`ApiError` (4xx for client mistakes); anything else escaping a
 handler becomes a structured 500 — a bad request must never take down a
-scorer worker or the gateway, exactly as the PR 4 gateway pinned.
+scorer worker or the gateway.  A model that scores NaN or ±inf is such a
+500 too (:class:`~repro.serving.scorer.NonFiniteScores`), never a 200.
 
 The dispatcher is also the gateway's **self-protection gate**: scoring
 endpoints are checked against the scorer pools' admission bounds before
@@ -317,6 +316,12 @@ class GatewayDispatcher:
                            "'numeric' and 'sparse'")
         numeric = _as_array(_require(candidates, "numeric"), np.float64,
                             "candidates.numeric")
+        if numeric.ndim and numeric.shape[0] == 0:
+            # Checked before candidate_batch: atleast_2d would read [] as
+            # one candidate row of zero columns.
+            raise ApiError(400, "bad_request",
+                           "candidates.numeric is an empty list; /rank needs "
+                           "at least one candidate row")
         sparse_raw = candidates.get("sparse", {})
         if not isinstance(sparse_raw, dict):
             raise ApiError(400, "bad_request", "'candidates.sparse' must map "

@@ -26,7 +26,7 @@ errors, no other statuses)::
 
 ``--sweep`` replaces the single run with a connection-count sweep — one
 closed-loop run per count, all summaries in one JSON artifact — which is
-how the selector backend's connection scaling is measured and CI-gated::
+how the gateway's connection scaling is measured and CI-gated::
 
     python -m repro.serving.loadgen --url http://127.0.0.1:8000 \\
         --sweep 1,8,64,256 --duration 3 --out connection_sweep.json
@@ -428,8 +428,8 @@ def run_sweep(url: str, client_counts: list[int], duration_s: float = 3.0,
     Each step reuses :func:`run_load` (fresh clients, fresh connections),
     so a step's summary is exactly what a standalone run at that
     concurrency would report.  This is the measurement behind the
-    selector backend's "sustains N concurrent keep-alive connections"
-    acceptance gate.
+    gateway's "sustains N concurrent keep-alive connections" acceptance
+    gate.
     """
     return [run_load(url, duration_s=duration_s, clients=clients,
                      rows_per_request=rows_per_request, top_k=top_k,

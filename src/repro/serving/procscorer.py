@@ -158,7 +158,6 @@ def decode_scores(payload: memoryview) -> np.ndarray:
 # ----------------------------------------------------------------------
 def _scorer_process_main(conn, checkpoint_base: str, environment_dir: str,
                          seed: int, version: int, worker_index: int,
-                         split_precompute: bool,
                          quantized: bool = False) -> None:
     """Entry point of one scorer process (must stay module-level for
     spawn-context picklability).
@@ -174,17 +173,8 @@ def _scorer_process_main(conn, checkpoint_base: str, environment_dir: str,
     model.eval()
     model.reseed(np.random.SeedSequence(
         entropy=(int(seed), int(version), int(worker_index))))
-    scorer = None
-    # Split precompute snapshots full-precision first-layer weights, which
-    # a quantized hydration does not have — quantized children always run
-    # the quantized compiled plans.
-    if split_precompute and not quantized:
-        make_split = getattr(model, "make_split_scorer", None)
-        if callable(make_split):
-            scorer = make_split()
-    if scorer is None:
-        make = getattr(model, "make_scorer", None)
-        scorer = make() if callable(make) else model.score
+    make = getattr(model, "make_scorer", None)
+    scorer = make() if callable(make) else model.score
     requests = rows = 0
     busy_seconds = 0.0
     while True:
@@ -256,7 +246,6 @@ class ProcessScorerHost:
 
     def __init__(self, checkpoint_base: str | Path, environment_dir: str | Path,
                  processes: int, seed: int = 0, version: int = 0,
-                 split_precompute: bool = False,
                  quantized: bool = False,
                  start_method: str | None = None,
                  stats_timeout_s: float = 1.0):
@@ -266,7 +255,6 @@ class ProcessScorerHost:
         self._environment_dir = str(environment_dir)
         self._seed = int(seed)
         self._version = int(version)
-        self._split_precompute = bool(split_precompute)
         self._quantized = bool(quantized)
         self._stats_timeout_s = float(stats_timeout_s)
         # spawn by default: the serving parent is heavily threaded, and
@@ -298,7 +286,7 @@ class ProcessScorerHost:
             target=_scorer_process_main,
             args=(child_conn, self._checkpoint_base, self._environment_dir,
                   self._seed, self._version, channel.index,
-                  self._split_precompute, self._quantized),
+                  self._quantized),
             name=f"repro-scorer-{channel.index}", daemon=True)
         process.start()
         child_conn.close()

@@ -15,16 +15,15 @@ malformed framing means the byte stream can no longer be trusted, so
 unlike an application-level :class:`~repro.serving.handlers.ApiError`
 the connection never survives one.
 
-The body-before-error ordering the threaded gateway pinned in PR 4 is
-structural here: a request object exists only once its body has been
-consumed from the stream, so a 4xx response can never leave an unread
-body behind to desync the next keep-alive request.
+Body-before-error ordering is structural here: a request object exists
+only once its body has been consumed from the stream, so a 4xx response
+can never leave an unread body behind to desync the next keep-alive
+request.
 
-:func:`encode_response` preserves the other PR 4 framing decision: every
-response is rendered into one ``bytes`` segment (status line, headers,
-and body together), so a single ``send`` path never produces the
-header/body write split that triggers delayed-ACK stalls on persistent
-connections.
+:func:`encode_response` renders every response into one ``bytes``
+segment (status line, headers, and body together), so a single ``send``
+path never produces the header/body write split that triggers
+delayed-ACK stalls on persistent connections.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from ..utils.serialization import _json_default
 
 __all__ = ["ProtocolError", "Request", "RequestParser", "encode_json",
            "encode_body", "encode_head", "encode_response", "encode_error",
-           "validate_content_length", "MAX_HEADER_BYTES", "MAX_BODY_BYTES",
+           "MAX_HEADER_BYTES", "MAX_BODY_BYTES",
            "DEADLINE_HEADER", "parse_deadline_ms"]
 
 MAX_HEADER_BYTES = 16 * 1024            # request line + all headers
@@ -64,26 +63,6 @@ class ProtocolError(Exception):
         self.status = status
         self.kind = kind
         self.completed: list = []
-
-
-def validate_content_length(raw: str | None,
-                            max_body_bytes: int = MAX_BODY_BYTES) -> int:
-    """Validate a Content-Length header value; shared by both transports
-    so their 400/413 semantics (and error bodies) cannot drift."""
-    if raw is None:
-        return 0
-    try:
-        length = int(raw)
-        if length < 0:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ProtocolError(400, "bad_request",
-                            f"invalid Content-Length {raw!r}") from None
-    if length > max_body_bytes:
-        raise ProtocolError(413, "payload_too_large",
-                            f"request body of {length} bytes exceeds the "
-                            f"{max_body_bytes} byte limit")
-    return length
 
 
 DEADLINE_HEADER = "x-deadline-ms"
@@ -272,8 +251,21 @@ class RequestParser:
             # request we cannot frame would desync the stream.
             raise ProtocolError(501, "unsupported_framing",
                                 "chunked transfer encoding is not supported")
-        return validate_content_length(headers.get("content-length"),
-                                       self._max_body_bytes)
+        raw = headers.get("content-length")
+        if raw is None:
+            return 0
+        try:
+            length = int(raw)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            raise ProtocolError(400, "bad_request",
+                                f"invalid Content-Length {raw!r}") from None
+        if length > self._max_body_bytes:
+            raise ProtocolError(413, "payload_too_large",
+                                f"request body of {length} bytes exceeds the "
+                                f"{self._max_body_bytes} byte limit")
+        return length
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +275,12 @@ def encode_json(payload: dict) -> bytes:
     """Render a response payload as JSON bytes.
 
     ``_json_default`` (shared with checkpoint serialization) turns numpy
-    arrays/scalars into plain JSON values, exactly as the threaded
-    gateway always has.
+    arrays/scalars into plain JSON values.  A NaN or ±inf anywhere in the
+    payload raises ``ValueError``: RFC 8259 has no spelling for them, and
+    a strict client would reject the whole body.
     """
-    return json.dumps(payload, default=_json_default).encode("utf-8")
+    return json.dumps(payload, default=_json_default,
+                      allow_nan=False).encode("utf-8")
 
 
 def encode_body(payload) -> tuple[bytes, str]:

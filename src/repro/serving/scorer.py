@@ -3,35 +3,35 @@
 Single-request scoring on the compiled plan is memory-bound — every request
 re-streams the full weight matrices.  Micro-batching amortizes that stream
 across concurrent requests: score requests land on a shared queue and a
-worker drains them in batches of up to ``max_batch_rows`` rows, waiting at
-most ``max_wait_ms`` for stragglers (measured on the paper tower: ≈54 µs/row
-at batch 1 vs ≈10 µs/row at batch 32 in float64 — the batching itself is a
->3x per-row win before dtype even enters).
+worker drains whatever is queued in batches of up to ``max_batch_rows``
+rows (measured on the paper tower: ≈54 µs/row at batch 1 vs ≈10 µs/row at
+batch 32 in float64 — the batching itself is a >3x per-row win before
+dtype even enters).
 
-Two front-ends share that machinery:
+:class:`ScorerPool` runs N workers, each owning its *own* score closure
+built by a caller-supplied factory (compiled plans are cheap; see
+:meth:`repro.models.base.RankingModel.make_scorer`).  Each worker also
+serializes access to its closure, so a non-thread-safe score function
+(a compiled plan's scratch buffers) is safe behind
+``ScorerPool(lambda: fn, num_workers=1)``.  Collection is pipelined
+against scoring: a collector token lets exactly one worker assemble a
+micro-batch at a time (racing collectors would shred the queue into
+fragment batches and give up the amortization that justifies
+micro-batching), while the workers *holding finished batches* score
+concurrently.  One worker's coalescing wait therefore overlaps the
+others' scoring even on one core, and on multi-core BLAS the scoring
+itself parallelizes too.
 
-* :class:`BatchScorer` — one worker around one score function (the PR 3
-  API).  The single worker also serializes access to a compiled plan's
-  scratch buffers, which are not thread-safe.
-* :class:`ScorerPool` — N workers, each owning its *own* score closure
-  built by a caller-supplied factory (compiled plans are cheap; see
-  :meth:`repro.models.base.RankingModel.make_scorer`).  Collection is
-  pipelined against scoring: a collector token lets exactly one worker
-  assemble a micro-batch at a time (racing collectors would shred the
-  queue into fragment batches and give up the amortization that justifies
-  micro-batching), while the workers *holding finished batches* score
-  concurrently.  One worker's coalescing wait therefore overlaps the
-  others' scoring even on one core, and on multi-core BLAS the scoring
-  itself parallelizes too.
+The micro-batch cap is **adaptive**: recomputed at collect time as
+``clamp(ceil(backlog_rows / workers), min_batch_rows, max_batch_rows)``,
+so an idle pool scores immediately while a backed-up pool splits its
+backlog into per-worker shares — no hand-tuned per-deployment
+``max_batch_rows`` required (see :meth:`ScorerPool._collect_cap` for why
+the divisor is the whole pool).
 
-The pool's micro-batch cap is **adaptive by default**: recomputed at
-collect time as ``clamp(ceil(backlog_rows / workers), min_batch_rows,
-max_batch_rows)``, so an idle pool scores immediately while a backed-up
-pool splits its backlog into per-worker shares — no hand-tuned
-per-deployment ``max_batch_rows`` required (see
-:meth:`ScorerPool._collect_cap` for why the divisor is the whole pool).
-Pass ``adaptive_batch=False`` to pin the static cap (what
-:class:`BatchScorer` does, preserving its PR 3 contract exactly).
+A score function that returns non-finite scores fails the requests
+whose rows carry them with :class:`NonFiniteScores`: a NaN is never an
+answer, and JSON has no spelling for it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 from ..data.dataset import Batch
 from .faults import WorkerKilled
 
-__all__ = ["BatchScorer", "DeadlineExceeded", "PoolOverloaded", "ScorerPool",
-           "ScorerStats", "concat_batches", "latency_percentile"]
+__all__ = ["DeadlineExceeded", "NonFiniteScores", "PoolOverloaded",
+           "ScorerPool", "ScorerStats", "concat_batches", "latency_percentile"]
 
 
 class DeadlineExceeded(RuntimeError):
@@ -87,6 +87,21 @@ class PoolOverloaded(RuntimeError):
         self.backlog_rows = backlog_rows
         self.max_backlog_rows = max_backlog_rows
         self.retry_after_s = retry_after_s
+
+
+class NonFiniteScores(RuntimeError):
+    """The model returned NaN or ±inf for some of this request's rows.
+
+    Raised into the future of each request whose own slice of a scored
+    micro-batch is not all finite; co-batched requests with finite
+    scores are still answered.  Unlike the data errors a bad request
+    causes, this says the model itself is unhealthy, so the gateway
+    answers a structured 500 and the circuit breaker records a failure.
+    """
+
+    def __init__(self, bad_rows: int, rows: int):
+        super().__init__(f"model returned non-finite scores for {bad_rows} "
+                         f"of {rows} rows")
 
 
 def concat_batches(batches: list[Batch]) -> Batch:
@@ -292,12 +307,12 @@ class _Worker:
         """Gather requests up to the row/wait budget into ``pending``;
         True means shut down.
 
-        The row cap is re-read from the pool every iteration: under the
-        adaptive policy it tracks the live backlog, so a queue that backs
-        up mid-collect widens this very batch instead of the next one.
-        An adaptive pool with nothing queued scores what it holds at once:
-        waiting out ``max_wait_ms`` for a straggler would only delay a
-        lone request smaller than ``min_batch_rows``.
+        The row cap is re-read from the pool every iteration: it tracks
+        the live backlog, so a queue that backs up mid-collect widens
+        this very batch instead of the next one.  With nothing queued the
+        worker scores what it holds at once: waiting out ``max_wait_ms``
+        for a straggler would only delay a lone request smaller than
+        ``min_batch_rows``.
 
         Deadline enforcement lives here: an entry whose deadline already
         passed is dropped — its future fails with
@@ -311,7 +326,7 @@ class _Worker:
             return False            # lone expired entry: nothing to wait for
         deadline = time.monotonic() + self._pool._max_wait
         while rows < self._pool._collect_cap(rows):
-            if self._pool._adaptive and self._pool._queue.empty():
+            if self._pool._queue.empty():
                 break
             remaining = deadline - time.monotonic()
             try:
@@ -346,7 +361,10 @@ class _Worker:
         re-raised *after* every future is resolved, so fault injection
         can prove the supervisor's respawn path without ever losing a
         response.  Consumes ``pending`` (clears it) once every future is
-        resolved, so the loop's emergency cleanup never double-fails."""
+        resolved, so the loop's emergency cleanup never double-fails.
+
+        A request whose own rows scored NaN or ±inf fails with
+        :class:`NonFiniteScores`; the rest of the batch is answered."""
         if not pending:
             return                  # every collected entry expired
         try:
@@ -360,6 +378,7 @@ class _Worker:
             if scores.ndim == 0 or scores.shape[0] != len(merged):
                 raise ValueError(
                     f"score_fn returned shape {scores.shape} for {len(merged)} rows")
+            finite = np.isfinite(scores).reshape(len(merged), -1).all(axis=1)
         except BaseException as error:  # propagate to every waiting caller
             for request in pending:
                 if not _resolve(request.future, error=error):
@@ -373,10 +392,17 @@ class _Worker:
         offset = 0
         for request in pending:
             count = len(request.batch)
-            # Copy the slice: the compiled plan owns (and will overwrite)
-            # the backing buffer on its next call.
-            if not _resolve(request.future,
-                            result=scores[offset:offset + count].copy()):
+            bad_rows = count - int(
+                np.count_nonzero(finite[offset:offset + count]))
+            if bad_rows:
+                resolved = _resolve(request.future,
+                                    error=NonFiniteScores(bad_rows, count))
+            else:
+                # Copy the slice: the compiled plan owns (and will
+                # overwrite) the backing buffer on its next call.
+                result = scores[offset:offset + count].copy()
+                resolved = _resolve(request.future, result=result)
+            if not resolved:
                 self._pool._note_lost_resolution()
             offset += count
         with self._lock:
@@ -408,25 +434,21 @@ class ScorerPool:
         hold — so the coalescing wait pipelines with scoring, and on
         multi-core BLAS the scoring itself parallelizes.
     max_batch_rows:
-        A worker flushes its pending micro-batch once it holds this many
-        rows.  Under the adaptive policy (the default) this is the upper
-        clamp; with ``adaptive_batch=False`` it is the fixed per-worker
-        cap (the PR 4 behavior, kept as the explicit override).
+        Upper clamp of the micro-batch cap, which is recomputed at
+        collect time as ``clamp(ceil(backlog_rows / workers),
+        min_batch_rows, max_batch_rows)`` — an idle pool scores small
+        batches immediately (latency), a backed-up pool splits its
+        backlog into per-worker shares (throughput), and no
+        per-deployment ``max_batch_rows`` tuning is needed.
     max_wait_ms:
-        How long a worker waits for more requests after its first one
-        before scoring what it has.  0 scores each request immediately
-        (still micro-batched when the queue is backed up).
-    adaptive_batch:
-        When True, the collect cap is recomputed at collect time as
-        ``clamp(ceil(backlog_rows / workers), min_batch_rows,
-        max_batch_rows)`` — an idle pool scores small batches immediately
-        (latency), a backed-up pool splits its backlog into per-worker
-        shares (throughput), and no per-deployment ``max_batch_rows``
-        tuning is needed.
+        Coalescing budget counted from a worker's first request.  A
+        worker never waits on an empty queue (see
+        :meth:`_Worker._collect`), so under the adaptive cap this budget
+        delays no batch.
     min_batch_rows:
-        Adaptive lower clamp on the cap: while requests are queued, a
-        worker keeps taking them until it holds this many rows.  With
-        nothing queued it scores what it holds at once.
+        Lower clamp on the cap: while requests are queued, a worker keeps
+        taking them until it holds this many rows.  With nothing queued
+        it scores what it holds at once.
     max_backlog_rows:
         Admission bound: with this many rows already enqueued, further
         submissions raise :class:`PoolOverloaded` instead of queueing —
@@ -455,8 +477,7 @@ class ScorerPool:
 
     def __init__(self, scorer_factory, num_workers: int = 4,
                  max_batch_rows: int = 256, max_wait_ms: float = 2.0,
-                 name: str = "pool", adaptive_batch: bool = True,
-                 min_batch_rows: int = 8,
+                 name: str = "pool", min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  fault_injector=None):
         if num_workers <= 0:
@@ -472,7 +493,6 @@ class ScorerPool:
         self.name = name
         self._max_batch_rows = int(max_batch_rows)
         self._max_wait = max_wait_ms / 1000.0
-        self._adaptive = bool(adaptive_batch)
         self._min_batch_rows = min(int(min_batch_rows), self._max_batch_rows)
         self._max_backlog_rows = (int(max_backlog_rows)
                                   if max_backlog_rows is not None else None)
@@ -523,12 +543,6 @@ class ScorerPool:
     def closed(self) -> bool:
         """True once :meth:`close` began; submissions will be refused."""
         return self._closed
-
-    @property
-    def adaptive_batch(self) -> bool:
-        """True when the collect cap follows the backlog instead of the
-        static ``max_batch_rows``."""
-        return self._adaptive
 
     @property
     def max_backlog_rows(self) -> int | None:
@@ -678,11 +692,9 @@ class ScorerPool:
     def _collect_cap(self, held_rows: int) -> int:
         """Row cap for the micro-batch being assembled right now.
 
-        Static policy: ``max_batch_rows``, unconditionally.  Adaptive
-        policy: split the outstanding work (rows already held + rows
-        still queued) into per-worker shares —
-        ``cap = clamp(ceil(backlog / workers), min_batch_rows,
-        max_batch_rows)``.
+        Split the outstanding work (rows already held + rows still
+        queued) into per-worker shares — ``cap = clamp(ceil(backlog /
+        workers), min_batch_rows, max_batch_rows)``.
 
         The divisor is the whole pool, not just the workers idle this
         instant: a busy worker rejoins the queue within one batch, so on
@@ -699,8 +711,6 @@ class ScorerPool:
         batch; ``_collect`` also stops at an empty queue, so a lone
         request below ``min_batch_rows`` is scored at once too.
         """
-        if not self._adaptive:
-            return self._max_batch_rows
         with self._state_lock:
             backlog = self._backlog_rows
         outstanding = held_rows + max(backlog, 0)
@@ -856,29 +866,3 @@ class ScorerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class BatchScorer(ScorerPool):
-    """Single-worker micro-batching scorer around one score function.
-
-    The PR 3 API, kept both for callers that own a non-thread-safe score
-    closure (the lone worker serializes access to it) and as the baseline
-    :class:`ScorerPool` is benchmarked against.
-
-    Parameters
-    ----------
-    score_fn:
-        ``Batch -> (n,) scores``; typically a model's compiled
-        :meth:`~repro.models.base.RankingModel.score`.
-    max_batch_rows / max_wait_ms:
-        As for :class:`ScorerPool`.
-    """
-
-    def __init__(self, score_fn, max_batch_rows: int = 256,
-                 max_wait_ms: float = 2.0, name: str = "scorer"):
-        # Static cap: the PR 3 API promised "flush at max_batch_rows,
-        # wait max_wait_ms for stragglers" — keep that contract exact.
-        super().__init__(lambda: score_fn, num_workers=1,
-                         max_batch_rows=max_batch_rows,
-                         max_wait_ms=max_wait_ms, name=name,
-                         adaptive_batch=False)

@@ -3,18 +3,16 @@
 Dependency-free (stdlib only).  The gateway is three layers, composed
 here:
 
-* :mod:`repro.serving.transport` — connection I/O.  The default
-  ``selector`` backend multiplexes every socket through one
-  :mod:`selectors` event loop (non-blocking reads/writes, keep-alive,
-  idle-timeout reaping — a slow client costs a buffer, not a thread);
-  ``threaded`` keeps the PR 4 thread-per-connection front-end as the
-  parity baseline.
+* :mod:`repro.serving.transport` — connection I/O.  One
+  :mod:`selectors` event loop multiplexes every socket (non-blocking
+  reads/writes, keep-alive, idle-timeout reaping — a slow client costs
+  a buffer, not a thread); ``--gateway-shards`` runs several such loops
+  on one port.
 * :mod:`repro.serving.protocol` — incremental HTTP/1.1 framing that
   tolerates partial reads and pipelining, with structured 4xx answers
   for framing violations (oversized bodies → 413, stalled slow-loris
   requests → 408).
-* :mod:`repro.serving.handlers` — the transport-agnostic JSON dispatch
-  both backends drive:
+* :mod:`repro.serving.handlers` — the transport-agnostic JSON dispatch:
 
 ========  =============  ====================================================
 method    path           purpose
@@ -54,7 +52,7 @@ Run it from a checkpoint directory (see :mod:`repro.serving.checkpoint`
 for the layout)::
 
     python -m repro.serving.server --checkpoint-dir ckpts --port 8000 \\
-        --workers 4 --backend selector
+        --workers 4
 
 ``POST /reload`` re-scans the same directory, registering changed or new
 checkpoints as fresh versions; the service retires superseded scorer pools
@@ -79,7 +77,7 @@ from .handlers import ApiError, GatewayDispatcher
 from .protocol import MAX_BODY_BYTES, MAX_HEADER_BYTES
 from .registry import ModelRegistry
 from .service import RankingService
-from .transport import (BACKENDS, DEFAULT_IDLE_TIMEOUT_S, GatewayCounters,
+from .transport import (DEFAULT_IDLE_TIMEOUT_S, GatewayCounters,
                         create_transport)
 
 __all__ = ["ServingServer", "ApiError", "serve_from_directory", "main"]
@@ -100,27 +98,23 @@ class ServingServer:
         When all are set, ``POST /reload`` re-scans ``checkpoint_dir``
         through :meth:`ModelRegistry.reload_from_directory`; otherwise the
         endpoint answers 400.
-    backend:
-        ``"selector"`` (event-loop front-end, the default) or
-        ``"threaded"`` (thread per connection, the PR 4 baseline).  Both
-        serve the identical protocol and dispatch layers.
     idle_timeout_s:
         Keep-alive connections idle this long are closed; a request that
         stalls mid-frame (slow loris) is answered with a 408 first.
     max_body_bytes:
         Request bodies beyond this answer with a structured 413.
     dispatch_workers:
-        Selector backend only: threads running endpoint handlers (they
-        block on scorer futures; connection count is not bounded by this).
+        Threads running endpoint handlers (they block on scorer futures;
+        connection count is not bounded by this).
     drain_deadline_s:
         Bound on the graceful drain: on :meth:`close` (and on SIGTERM via
         :meth:`install_signal_handlers`) the gateway stops accepting and
         answers every in-flight request, but cuts whatever cannot finish
         within this many seconds.
     gateway_shards:
-        Selector backend only: run this many independent selector loops
-        accepting on the same port (``SO_REUSEPORT`` siblings, or one
-        ``dup()``-shared acceptor where unavailable).  All shards drive
+        Run this many independent selector loops accepting on the same
+        port (``SO_REUSEPORT`` siblings, or one ``dup()``-shared acceptor
+        where unavailable).  All shards drive
         one dispatcher/registry, so hot reload stays atomic across them.
     quantized:
         Serve int8 quantized plans: ``POST /reload`` re-scans the
@@ -135,7 +129,6 @@ class ServingServer:
                  port: int = 0, checkpoint_dir: str | Path | None = None,
                  spec: FeatureSpec | None = None,
                  taxonomy: Taxonomy | None = None,
-                 backend: str = "selector",
                  idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_header_bytes: int = MAX_HEADER_BYTES,
@@ -144,7 +137,6 @@ class ServingServer:
                  gateway_shards: int = 1,
                  quantized: bool = False):
         self.service = service
-        self.backend = backend
         self.gateway_shards = gateway_shards
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.spec = spec
@@ -157,7 +149,7 @@ class ServingServer:
             connection_stats=self.counters.snapshot,
             quantized=quantized)
         self._transport = create_transport(
-            backend, host, port, self.dispatcher, counters=self.counters,
+            host, port, self.dispatcher, counters=self.counters,
             idle_timeout_s=idle_timeout_s, max_body_bytes=max_body_bytes,
             max_header_bytes=max_header_bytes,
             dispatch_workers=dispatch_workers,
@@ -187,7 +179,6 @@ class ServingServer:
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._thread = threading.Thread(target=self._transport.serve_forever,
-                                        kwargs={"poll_interval": 0.05},
                                         daemon=True, name="ServingServer")
         self._serving = True
         self._thread.start()
@@ -196,7 +187,7 @@ class ServingServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
         self._serving = True
-        self._transport.serve_forever(poll_interval=0.5)
+        self._transport.serve_forever()
 
     def request_drain(self) -> None:
         """Start a graceful stop without blocking (signal-handler safe).
@@ -262,8 +253,6 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          port: int = 0, num_workers: int = 4,
                          max_batch_rows: int = 256, max_wait_ms: float = 2.0,
                          default_model: str | None = None,
-                         backend: str = "selector",
-                         adaptive_batch: bool = True,
                          min_batch_rows: int = 8,
                          idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
                          dispatch_workers: int = 8,
@@ -273,7 +262,6 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          enable_fault_injection: bool = False,
                          cache_entries: int = 4096,
                          cache_ttl_s: float = 30.0,
-                         split_precompute: bool = False,
                          scorer_processes: int = 0,
                          gateway_shards: int = 1,
                          process_start_method: str | None = None,
@@ -299,10 +287,7 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
     seconds each; either 0 disables it): repeat ``(model version,
     intent, candidate features)`` requests answer from the cache,
     bit-identical per version, and a hot reload invalidates structurally
-    because the version lives in the key.  ``split_precompute`` opts the
-    supported models into the split compiled plan (item-side first-layer
-    prefixes memoized per item — see
-    :class:`~repro.nn.infer.SplitMLP`).
+    because the version lives in the key.
 
     ``enable_fault_injection`` builds a
     :class:`~repro.serving.faults.FaultInjector` into the service and
@@ -314,8 +299,8 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
     with memory-mapped shared weights — see
     :mod:`repro.serving.procscorer`); ``--workers`` is ignored for such
     models since the pool runs one proxy thread per process.
-    ``gateway_shards`` > 1 (selector backend only) runs that many
-    selector loops accepting on one port via ``SO_REUSEPORT``.
+    ``gateway_shards`` > 1 runs that many selector loops accepting on
+    one port via ``SO_REUSEPORT``.
 
     ``quantized`` hydrates every ranking checkpoint from its int8
     ``.quant.npz`` artifact (per-output-channel symmetric weights, f32
@@ -346,7 +331,6 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                              classifier=classifier, taxonomy=taxonomy,
                              max_batch_rows=max_batch_rows,
                              max_wait_ms=max_wait_ms, num_workers=num_workers,
-                             adaptive_batch=adaptive_batch,
                              min_batch_rows=min_batch_rows,
                              max_backlog_rows=max_backlog_rows,
                              breaker_config=breaker_config or BreakerConfig(),
@@ -354,14 +338,13 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                              fault_injector=FaultInjector()
                              if enable_fault_injection else None,
                              result_cache=result_cache,
-                             split_precompute=split_precompute,
                              scorer_processes=scorer_processes,
                              environment_dir=checkpoint_dir
                              if scorer_processes > 0 else None,
                              process_start_method=process_start_method)
     return ServingServer(service, host=host, port=port,
                          checkpoint_dir=checkpoint_dir, spec=spec,
-                         taxonomy=taxonomy, backend=backend,
+                         taxonomy=taxonomy,
                          idle_timeout_s=idle_timeout_s,
                          dispatch_workers=dispatch_workers,
                          drain_deadline_s=drain_deadline_s,
@@ -415,11 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000,
                         help="0 picks an ephemeral port")
-    parser.add_argument("--backend", choices=sorted(BACKENDS),
-                        default="selector",
-                        help="connection front-end: the selector event loop "
-                             "(default; scales to hundreds of sockets) or "
-                             "the thread-per-connection fallback")
     parser.add_argument("--workers", type=int, default=4,
                         help="scoring workers per model (ScorerPool size)")
     parser.add_argument("--scorer-processes", type=int, default=0,
@@ -428,21 +406,17 @@ def main(argv: list[str] | None = None) -> int:
                              "weights; 0 = in-process threads, the default). "
                              "Overrides --workers for checkpointed models")
     parser.add_argument("--gateway-shards", type=int, default=1,
-                        help="selector backend: run this many event loops "
+                        help="run this many event loops "
                              "accepting on one port via SO_REUSEPORT "
                              "(dup()-shared acceptor fallback); hot reload "
                              "stays atomic across shards")
     parser.add_argument("--dispatch-workers", type=int, default=8,
-                        help="selector backend: threads running endpoint "
-                             "handlers")
+                        help="threads running endpoint handlers")
     parser.add_argument("--max-batch-rows", type=int, default=256,
-                        help="per-worker micro-batch row cap (the adaptive "
-                             "policy's upper clamp)")
+                        help="upper clamp of the adaptive per-worker "
+                             "micro-batch row cap")
     parser.add_argument("--min-batch-rows", type=int, default=8,
-                        help="adaptive policy's lower clamp")
-    parser.add_argument("--static-batch", action="store_true",
-                        help="disable the adaptive micro-batch cap and use "
-                             "--max-batch-rows as a fixed per-worker cap")
+                        help="lower clamp of the adaptive micro-batch cap")
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--idle-timeout", type=float,
                         default=DEFAULT_IDLE_TIMEOUT_S,
@@ -483,12 +457,6 @@ def main(argv: list[str] | None = None) -> int:
                              "f32 scales/accumulation) without loading the "
                              "full-precision weights; checkpoints lacking "
                              "the artifact are quarantined")
-    parser.add_argument("--split-precompute", action="store_true",
-                        help="split each supported model's compiled plan "
-                             "into a memoized query-independent item prefix "
-                             "plus a per-request query suffix (float "
-                             "rounding may differ from the unsplit plan at "
-                             "~1e-10)")
     parser.add_argument("--enable-fault-injection", action="store_true",
                         help="route POST /faults to a live fault injector "
                              "(chaos testing only — injects scoring errors, "
@@ -511,7 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_dir, host=args.host, port=args.port,
         num_workers=args.workers, max_batch_rows=args.max_batch_rows,
         max_wait_ms=args.max_wait_ms, default_model=args.default_model,
-        backend=args.backend, adaptive_batch=not args.static_batch,
         min_batch_rows=args.min_batch_rows,
         idle_timeout_s=args.idle_timeout,
         dispatch_workers=args.dispatch_workers,
@@ -525,21 +492,17 @@ def main(argv: list[str] | None = None) -> int:
         enable_fault_injection=args.enable_fault_injection,
         cache_entries=args.cache_entries,
         cache_ttl_s=args.cache_ttl_s,
-        split_precompute=args.split_precompute,
         scorer_processes=args.scorer_processes,
         gateway_shards=args.gateway_shards,
         quantized=args.quantized)
     server.install_signal_handlers()
     names = ", ".join(server.service.registry.names())
-    cap = ("static" if args.static_batch
-           else f"adaptive ≤{args.max_batch_rows}")
     backlog = (f"shed past {args.max_backlog_rows} backlog rows"
                if args.max_backlog_rows else "no admission bound")
     cache = (f"result cache {args.cache_entries} entries/"
              f"{args.cache_ttl_s:g}s TTL"
              if args.cache_entries > 0 and args.cache_ttl_s > 0
              else "result cache off")
-    split = ", split precompute" if args.split_precompute else ""
     quant = ", int8 quantized plans" if args.quantized else ""
     faults = ", FAULT INJECTION ENABLED" if args.enable_fault_injection else ""
     scale = ""
@@ -548,8 +511,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.gateway_shards > 1:
         scale += f", {args.gateway_shards} gateway shards"
     print(f"serving {names} on {server.url} "
-          f"({args.backend} backend, {args.workers} scoring workers{scale}, "
-          f"{cap} batch cap, {backlog}, {cache}{split}{quant}, "
+          f"({args.workers} scoring workers{scale}, adaptive "
+          f"≤{args.max_batch_rows} batch cap, {backlog}, {cache}{quant}, "
           f"breaker opens at {args.breaker_threshold:g} failure ratio{faults}; "
           f"GET /metrics for Prometheus, POST /reload to hot-reload)")
     try:

@@ -5,7 +5,7 @@ classified into its sub/top category by the BiGRU classifier (§4.1), the
 top category selects which registered ranking model handles the traffic
 (per-category routing with a default fallback — the "category-dedicated
 model extraction" direction of the paper's conclusions), candidates are
-scored through that model's micro-batching :class:`BatchScorer`, and the
+scored through that model's micro-batching :class:`ScorerPool`, and the
 top-k items come back with scores and latency.
 """
 
@@ -21,7 +21,6 @@ from ..data.dataset import Batch
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..querycat import QueryCategoryClassifier
-from ..nn.infer import PrefixMemo
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import ResultCache, canonical_key
 from .procscorer import ProcessScorerHost
@@ -89,19 +88,15 @@ class RankingService:
     routing:
         ``top-category id → model name`` rules for category-dedicated
         models.
-    max_batch_rows / max_wait_ms:
-        Micro-batching knobs handed to each model's :class:`ScorerPool`.
+    max_batch_rows / min_batch_rows / max_wait_ms:
+        Micro-batching knobs handed to each model's :class:`ScorerPool`,
+        whose adaptive cap is recomputed from the live backlog at collect
+        time, with ``max_batch_rows`` as the upper and ``min_batch_rows``
+        the lower clamp.
     num_workers:
-        Scoring workers per model.  1 (the default) reproduces the PR 3
-        single-worker ``BatchScorer`` behavior; more workers score a
+        Scoring workers per model (default 1); more workers score a
         model's micro-batches concurrently, each on its own compiled plan
         (``model.make_scorer()``), overlapping their coalescing waits.
-    adaptive_batch / min_batch_rows:
-        Micro-batch cap policy (see :class:`ScorerPool`): adaptive (the
-        default) recomputes the cap from the live backlog at collect
-        time, with ``max_batch_rows`` as the upper and ``min_batch_rows``
-        the lower clamp; ``adaptive_batch=False`` pins the static
-        per-worker cap.
     max_backlog_rows:
         Per-pool admission bound, in rows.  A submission that would push
         a pool's backlog past this raises
@@ -141,15 +136,6 @@ class RankingService:
         default) keeps the library uncached; the gateway serves with a
         cache unless ``--cache-entries 0`` — see
         :func:`~repro.serving.server.serve_from_directory`.
-    split_precompute:
-        When True, models exposing
-        :meth:`~repro.models.base.RankingModel.make_split_scorer` score
-        through the split compiled plan: the query-independent item-side
-        first-layer contribution is memoized per distinct item row
-        (shared across the pool's workers), shrinking per-request FLOPs
-        and weight traffic.  Split scores match the full plan to float
-        rounding, not bit-for-bit; default off.  Only the DNN offers a
-        split plan; MoE models keep their sparse top-K scorer.
     scorer_processes / environment_dir:
         When ``scorer_processes`` > 0 **and** the routed registry entry
         was registered from a checkpoint (its metadata carries the
@@ -172,15 +158,13 @@ class RankingService:
                  taxonomy: Taxonomy | None = None,
                  routing: dict[int, str] | None = None,
                  max_batch_rows: int = 256, max_wait_ms: float = 2.0,
-                 num_workers: int = 1, adaptive_batch: bool = True,
-                 min_batch_rows: int = 8,
+                 num_workers: int = 1, min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  breaker_config: BreakerConfig | None = None,
                  spec: FeatureSpec | None = None,
                  degraded_prior=None,
                  fault_injector=None,
                  result_cache: ResultCache | None = None,
-                 split_precompute: bool = False,
                  scorer_processes: int = 0,
                  environment_dir=None,
                  process_start_method: str | None = None):
@@ -198,13 +182,11 @@ class RankingService:
         self._max_batch_rows = max_batch_rows
         self._max_wait_ms = max_wait_ms
         self._num_workers = num_workers
-        self._adaptive_batch = adaptive_batch
         self._min_batch_rows = min_batch_rows
         self._max_backlog_rows = max_backlog_rows
         self._breaker_config = breaker_config
         self._degraded_prior = degraded_prior
         self._cache = result_cache
-        self._split_precompute = split_precompute
         self._scorer_processes = int(scorer_processes)
         self._environment_dir = environment_dir
         self._process_start_method = process_start_method
@@ -278,27 +260,12 @@ class RankingService:
     def _scorer_factory(self, model):
         """Per-worker score closures for ``model``.
 
-        With ``split_precompute`` on and a model that supports it, every
-        worker gets its own split plan but they all share one
-        :class:`~repro.nn.infer.PrefixMemo` — the memo is per (model,
-        version) by construction, since this factory is built per
-        registry entry.  Otherwise models expose
-        :meth:`~repro.models.base.RankingModel.make_scorer` (an
-        independent compiled plan per call), and arbitrary scorable
+        Models expose :meth:`~repro.models.base.RankingModel.make_scorer`
+        (an independent compiled plan per call), and arbitrary scorable
         objects fall back to their bound ``score`` behind one shared
         lock, since nothing guarantees it is safe to call from several
         workers.
         """
-        # Split precompute snapshots full-precision first-layer weights; a
-        # quantized hydration has none (NaN placeholders), so quantized
-        # models always score through the quantized compiled plans.
-        if self._split_precompute \
-                and not getattr(model, "_quantized_serving", False):
-            make_split = getattr(model, "make_split_scorer", None)
-            if make_split is not None:
-                memo = PrefixMemo()
-                if make_split(prefix_memo=memo) is not None:
-                    return lambda: make_split(prefix_memo=memo)
         make_scorer = getattr(model, "make_scorer", None)
         if make_scorer is not None:
             return make_scorer
@@ -326,7 +293,6 @@ class RankingService:
             checkpoint, self._environment_dir,
             processes=self._scorer_processes,
             version=entry.version,
-            split_precompute=self._split_precompute,
             quantized=bool((entry.metadata or {}).get("quantized")),
             start_method=self._process_start_method)
 
@@ -358,7 +324,6 @@ class RankingService:
                                     max_batch_rows=self._max_batch_rows,
                                     max_wait_ms=self._max_wait_ms,
                                     name=f"{entry.name}-v{entry.version}",
-                                    adaptive_batch=self._adaptive_batch,
                                     min_batch_rows=self._min_batch_rows,
                                     max_backlog_rows=self._max_backlog_rows,
                                     fault_injector=self.fault_injector)

@@ -1,31 +1,24 @@
-"""Connection transports for the serving gateway.
+"""Connection transport for the serving gateway.
 
 The transport layer of the three-layer gateway split owns sockets and
 nothing else: bytes in, bytes out, connection lifecycle.  Requests are
 framed by :mod:`repro.serving.protocol` and answered by a
-:class:`~repro.serving.handlers.GatewayDispatcher`; both transports
-drive the exact same dispatcher, which is what lets the test suite pin
-behavioral parity between them.
+:class:`~repro.serving.handlers.GatewayDispatcher`.
 
-Two implementations:
+:class:`SelectorTransport` is one event-loop thread that multiplexes
+every connection through stdlib :mod:`selectors` (non-blocking
+accept/read/write, per-connection parser state machines, keep-alive and
+idle-timeout reaping).  Completed requests are handed to a small
+dispatch pool (whose threads block on the
+:class:`~repro.serving.ScorerPool` futures — scoring stays on the scorer
+workers) and finished responses come back through a completion queue
+that wakes the loop.  A slow client therefore costs one buffer, never a
+thread: the loop trickles its bytes out as the socket drains, which is
+what lets the gateway hold hundreds of concurrent sockets.
+:class:`ShardedTransport` runs several such loops on one port.
 
-* :class:`SelectorTransport` — the default.  One event-loop thread
-  multiplexes every connection through stdlib :mod:`selectors`
-  (non-blocking accept/read/write, per-connection parser state machines,
-  keep-alive and idle-timeout reaping).  Completed requests are handed
-  to a small dispatch pool (whose threads block on the
-  :class:`~repro.serving.ScorerPool` futures — scoring stays on the
-  scorer workers) and finished responses come back through a completion
-  queue that wakes the loop.  A slow client therefore costs one buffer,
-  never a thread: the loop trickles its bytes out as the socket drains,
-  which is what lets the gateway hold hundreds of concurrent sockets.
-* :class:`ThreadedTransport` — the PR 4 thread-per-connection
-  ``ThreadingHTTPServer`` front-end, kept behind ``--backend threaded``
-  as the parity baseline and for deployments that prefer its simplicity
-  at low connection counts.
-
-:class:`GatewayCounters` is the shared connection-counter block both
-transports maintain and ``GET /stats`` reports.
+:class:`GatewayCounters` is the connection-counter block the transport
+maintains and ``GET /stats`` reports.
 """
 
 from __future__ import annotations
@@ -36,15 +29,14 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .handlers import GatewayDispatcher
 from .protocol import (MAX_BODY_BYTES, MAX_HEADER_BYTES, ProtocolError,
                        Request, RequestParser, encode_body, encode_error,
-                       encode_head, validate_content_length)
+                       encode_head)
 
-__all__ = ["GatewayCounters", "SelectorTransport", "ThreadedTransport",
-           "ShardedTransport", "BACKENDS", "create_transport"]
+__all__ = ["GatewayCounters", "SelectorTransport", "ShardedTransport",
+           "create_transport"]
 
 _RECV_CHUNK = 65536
 # Write backpressure: once a connection's outbound buffer passes this,
@@ -216,9 +208,9 @@ class SelectorTransport:
         return self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors the http.server surface ServingServer drives)
+    # Lifecycle
     # ------------------------------------------------------------------
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
+    def serve_forever(self) -> None:
         # A shutdown() issued before the serve thread got here must win:
         # never clear the flag (serving is one-shot), never touch a
         # selector that server_close() may already have closed.
@@ -233,7 +225,7 @@ class SelectorTransport:
             except (OSError, ValueError, KeyError):
                 return                  # closed before serving began
             while not self._shutdown_requested.is_set():
-                events = sel.select(self._select_timeout(poll_interval))
+                events = sel.select(self._select_timeout())
                 self.loop_wakeups += 1
                 if self._drain_requested.is_set() and not self._draining:
                     self._start_drain()
@@ -315,7 +307,7 @@ class SelectorTransport:
     # ------------------------------------------------------------------
     # Event handling
     # ------------------------------------------------------------------
-    def _select_timeout(self, poll_interval: float) -> float | None:
+    def _select_timeout(self) -> float | None:
         """Sleep until the next idle deadline could fire — or block.
 
         Only reapable connections (no handler in flight) bound the sleep
@@ -324,10 +316,9 @@ class SelectorTransport:
         indefinitely: every state change it must act on arrives as a
         selector event (readable/writable sockets, a fresh accept) or a
         self-pipe wake (completions, shutdown, drain), so a timed poll
-        only burns wakeups — the old ``max(poll_interval, 0.05)`` floor
-        woke a fully-loaded loop 20x/s for nothing.
+        only burns wakeups (a 50 ms floor would wake a fully-loaded loop
+        20x/s for nothing).
         """
-        del poll_interval               # event-driven: nothing to poll for
         reapable = [c.last_activity for c in self._connections
                     if not c.in_flight]
         if not reapable:
@@ -394,9 +385,8 @@ class SelectorTransport:
             except OSError:
                 return                  # listener closed under us
             sock.setblocking(False)
-            # Same latency hygiene as the threaded gateway: small JSON
-            # responses on persistent connections stall ~5x on
-            # delayed ACKs without NODELAY.
+            # Small JSON responses on persistent connections stall ~5x
+            # on delayed ACKs without NODELAY.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = _Connection(sock, self._max_header_bytes,
                                      self._max_body_bytes)
@@ -473,11 +463,11 @@ class SelectorTransport:
         """
         force_close = not request.keep_alive
         try:
-            # Raw target: the dispatcher owns path normalization (the
-            # threaded backend hands it raw paths too).  received_at is
-            # the parser's off-the-wire stamp, so the deadline budget
-            # counts queueing inside the gateway (dispatch backlog,
-            # scorer queue) but not client-side send time.
+            # Raw target: the dispatcher owns path normalization.
+            # received_at is the parser's off-the-wire stamp, so the
+            # deadline budget counts queueing inside the gateway
+            # (dispatch backlog, scorer queue) but not client-side send
+            # time.
             status, payload, headers = self.dispatcher.dispatch(
                 request.method, request.target, request.body,
                 headers=request.headers, received_at=request.received_at)
@@ -620,195 +610,6 @@ class SelectorTransport:
             pass
 
 
-# ----------------------------------------------------------------------
-# Threaded fallback transport (the PR 4 front-end)
-# ----------------------------------------------------------------------
-class _GatewayHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    # Match the selector backend's listen(1024).  The socketserver
-    # default backlog of 5 drops SYNs under a connection stampede (32
-    # clients reconnecting after an error burst): the losers retransmit
-    # on the 1s TCP timer and surface as periodic ECONNRESET waves —
-    # found by the chaos harness, which requires zero transport errors.
-    request_queue_size = 1024
-    # The gateway holds real state (scorer pools); don't let a lingering
-    # client connection on a reused address confuse a fresh server.
-    allow_reuse_address = True
-    # Flipped by ThreadedTransport.begin_drain/drain: handler threads add
-    # ``Connection: close`` to every response so keep-alive clients let
-    # go of their sockets and the drain converges.
-    draining = False
-    dispatcher: GatewayDispatcher
-    counters: GatewayCounters
-    max_body_bytes: int
-    idle_timeout_s: float
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-serving/2.0"
-    protocol_version = "HTTP/1.1"       # keep-alive for multi-request clients
-    # Latency hygiene for small JSON responses on persistent connections:
-    # buffer the whole response into one TCP segment and disable Nagle,
-    # else the header/body write pattern triggers delayed-ACK stalls
-    # (measured ~8x request latency on loopback).
-    wbufsize = -1
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        # Socket timeout doubles as the keep-alive idle timeout: a read
-        # that times out makes handle_one_request close the connection,
-        # matching the selector backend's reaper.
-        self.timeout = self.server.idle_timeout_s
-        super().setup()
-        self._requests_on_connection = 0
-        self.server.counters.connection_opened()
-
-    def finish(self):
-        try:
-            super().finish()
-        finally:
-            self.server.counters.connection_closed()
-
-    def log_message(self, format, *args):   # noqa: A002 - stdlib signature
-        pass                                # the gateway keeps its own counters
-
-    def do_GET(self):
-        self._dispatch("GET")
-
-    def do_POST(self):
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        dispatcher = self.server.dispatcher
-        # Stamp arrival before reading the body, matching the selector
-        # backend (its parser stamps when the head finishes): a client
-        # trickling its payload spends its own deadline budget.
-        received_at = time.monotonic()
-        headers = {name.lower(): value for name, value in self.headers.items()}
-        try:
-            # Drain the body before anything can error: on a keep-alive
-            # connection an unread body would be parsed as the next
-            # request line, desyncing every request after a 4xx.
-            body = self._read_body() if method == "POST" else b""
-        except ProtocolError as error:
-            # Same contract as the selector backend's ProtocolError
-            # path: structured answer, then drop the connection.
-            dispatcher.record_protocol_error()
-            self.close_connection = True
-            self._send(error.status,
-                       {"error": {"type": error.kind, "message": str(error)}})
-            return
-        self.server.counters.dispatch_started()
-        try:
-            status, payload, response_headers = dispatcher.dispatch(
-                method, self.path, body,
-                headers=headers, received_at=received_at)
-        finally:
-            self.server.counters.dispatch_finished()
-        self._requests_on_connection += 1
-        self.server.counters.request_served(
-            reused=self._requests_on_connection > 1)
-        self._send(status, payload, response_headers)
-
-    def _read_body(self) -> bytes:
-        # Shared validation with the selector backend's parser, so the
-        # 400/413 semantics (and error bodies) cannot drift apart.
-        length = validate_content_length(self.headers.get("Content-Length"),
-                                         self.server.max_body_bytes)
-        return self.rfile.read(length) if length > 0 else b""
-
-    def _send(self, status: int, payload,
-              extra_headers: dict | None = None) -> None:
-        try:
-            body, content_type = encode_body(payload)
-            extra = dict(extra_headers or {})
-            content_type = extra.pop("Content-Type", content_type)
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in extra.items():
-                self.send_header(name, value)
-            if getattr(self.server, "draining", False):
-                # Coarser than the selector drain (every response while
-                # draining closes, not just each connection's last) but
-                # the contract holds: accepted requests are answered and
-                # clients are told to reconnect elsewhere.  send_header
-                # also flips close_connection for us.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-            self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            pass                            # client went away mid-response
-
-
-class ThreadedTransport:
-    """Thread-per-connection front-end on stdlib ``ThreadingHTTPServer``.
-
-    The PR 4 gateway, now driving the shared
-    :class:`~repro.serving.handlers.GatewayDispatcher` — kept as the
-    behavioral-parity baseline for the selector backend and selectable
-    with ``--backend threaded``.
-    """
-
-    def __init__(self, host: str, port: int, dispatcher: GatewayDispatcher,
-                 counters: GatewayCounters | None = None,
-                 idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 max_header_bytes: int = MAX_HEADER_BYTES,
-                 dispatch_workers: int = 8):
-        del max_header_bytes, dispatch_workers  # stdlib server manages both
-        self.dispatcher = dispatcher
-        self.counters = counters if counters is not None else GatewayCounters()
-        self.idle_timeout_s = idle_timeout_s
-        self._httpd = _GatewayHTTPServer((host, port), _Handler)
-        self._httpd.dispatcher = dispatcher
-        self._httpd.counters = self.counters
-        self._httpd.max_body_bytes = max_body_bytes
-        self._httpd.idle_timeout_s = idle_timeout_s
-
-    @property
-    def server_address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        self._httpd.serve_forever(poll_interval=poll_interval)
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-
-    def begin_drain(self) -> None:
-        """Non-blocking graceful stop: stop accepting, mark every further
-        response ``Connection: close``.  In-flight handler threads keep
-        running; :meth:`drain` (or ``shutdown``) waits them out.
-        """
-        self._httpd.draining = True
-        # shutdown() blocks until serve_forever returns, which can take
-        # up to one poll interval — too long for a signal path, so hand
-        # it to a helper thread.
-        threading.Thread(target=self._httpd.shutdown,
-                         name="gateway-drain", daemon=True).start()
-
-    def drain(self, deadline_s: float) -> None:
-        """Blocking drain: stop accepting, wait for in-flight handlers.
-
-        Waits on the ``in_flight`` gauge rather than ``open`` — idle
-        keep-alive clients may hold sockets for seconds after their last
-        response, and the drain's promise is about accepted *requests*,
-        not lingering idle connections (their handler threads are daemons
-        and the forced close in ``server_close`` cuts them off).
-        """
-        self._httpd.draining = True
-        self._httpd.shutdown()          # no new connections accepted
-        deadline = time.monotonic() + max(deadline_s, 0.0)
-        while self.counters.snapshot()["in_flight"] > 0 \
-                and time.monotonic() < deadline:
-            time.sleep(0.02)
-
-    def server_close(self) -> None:
-        self._httpd.server_close()
-
-
 class ShardedTransport:
     """N selector event loops accepting on one port.
 
@@ -909,15 +710,15 @@ class ShardedTransport:
     # ------------------------------------------------------------------
     # Lifecycle (mirrors SelectorTransport)
     # ------------------------------------------------------------------
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
+    def serve_forever(self) -> None:
         self._threads = [threading.Thread(
-            target=shard.serve_forever, kwargs={"poll_interval": poll_interval},
+            target=shard.serve_forever,
             name=f"gateway-shard-{index}", daemon=True)
             for index, shard in enumerate(self._shards[1:], start=1)]
         for thread in self._threads:
             thread.start()
         try:
-            self._shards[0].serve_forever(poll_interval=poll_interval)
+            self._shards[0].serve_forever()
         finally:
             for thread in self._threads:
                 thread.join()
@@ -943,25 +744,12 @@ class ShardedTransport:
             shard.server_close()
 
 
-BACKENDS = {"selector": SelectorTransport, "threaded": ThreadedTransport}
-
-
-def create_transport(backend: str, host: str, port: int,
-                     dispatcher: GatewayDispatcher, **kwargs):
-    """Build the requested transport; ``backend`` is ``selector`` or
-    ``threaded``.  ``shards`` > 1 (selector only) builds a
-    :class:`ShardedTransport` running that many selector loops on one
-    port."""
-    shards = kwargs.pop("shards", 1)
-    if shards and shards > 1:
-        if backend != "selector":
-            raise ValueError("gateway sharding requires the selector "
-                             f"backend, not {backend!r}")
+def create_transport(host: str, port: int, dispatcher: GatewayDispatcher,
+                     shards: int = 1, **kwargs):
+    """Build the gateway transport: one :class:`SelectorTransport`, or a
+    :class:`ShardedTransport` running ``shards`` selector loops on one
+    port when ``shards`` > 1."""
+    if shards > 1:
         return ShardedTransport(host, port, dispatcher, shards=shards,
                                 **kwargs)
-    try:
-        factory = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"choose from {sorted(BACKENDS)}") from None
-    return factory(host, port, dispatcher, **kwargs)
+    return SelectorTransport(host, port, dispatcher, **kwargs)

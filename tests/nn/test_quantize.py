@@ -170,15 +170,3 @@ class TestHydration:
         wrong = nn.MLP(5, [16], 2, rng=RNG(1)).astype(np.float32)
         with pytest.raises((ValueError, KeyError)):
             hydrate_quantized(wrong, state, quantized)
-
-    def test_split_plan_guard(self):
-        """SplitMLP snapshots the full-precision first layer — it must
-        refuse a quantized tower instead of snapshotting NaNs."""
-        from repro.nn.infer import SplitMLP
-        source = self._tower()
-        state, quantized = self._split(source)
-        target = self._tower()
-        hydrate_quantized(target, state, quantized)
-        with pytest.raises(ValueError, match="quantized"):
-            SplitMLP(target, static_columns=np.arange(3),
-                     dynamic_columns=np.arange(3, 5))

@@ -304,8 +304,7 @@ def checkpoint_dir(model, dataset, taxonomy, tmp_path_factory):
 @pytest.fixture(scope="module")
 def wire(checkpoint_dir):
     server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                          num_workers=2, max_wait_ms=0.5,
-                                          backend="selector")
+                                          num_workers=2, max_wait_ms=0.5)
     server.start()
     client = ServingClient(server.url)
     client.wait_ready(timeout_s=30)
@@ -366,7 +365,6 @@ class TestCacheOverTheWire:
     def test_cache_disabled_gateway(self, checkpoint_dir, batch):
         server = serving.serve_from_directory(checkpoint_dir, port=0,
                                               num_workers=1, max_wait_ms=0.5,
-                                              backend="selector",
                                               cache_entries=0)
         server.start()
         try:

@@ -7,10 +7,9 @@ Three layers of coverage:
   supervisor, lost-resolution accounting, atomic checkpoint writes with
   checksum verification, and registry quarantine of corrupt checkpoints.
 * Wire level — a real gateway with ``--enable-fault-injection``
-  semantics, parametrized over **both connection backends**: expired
-  deadlines answer structured 504s, a killed worker is respawned under
-  traffic, a torn checkpoint write quarantines on reload while the last
-  good version keeps serving.
+  semantics: expired deadlines answer structured 504s, a killed worker
+  is respawned under traffic, a torn checkpoint write quarantines on
+  reload while the last good version keeps serving.
 * Harness level — a shortened ``loadgen --chaos`` run must pass its own
   acceptance checks end to end (the same checks CI gates on).
 """
@@ -564,10 +563,11 @@ class TestClientRetries:
 
 
 # ----------------------------------------------------------------------
-# Over the wire, both backends
+# Over the wire
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["selector", "threaded"])
+@pytest.fixture(params=["selector"])
 def backend(request):
+    """Names the transport in the test ids."""
     return request.param
 
 
@@ -576,7 +576,7 @@ def fault_server(model, dataset, taxonomy, tmp_path, backend):
     serving.save_environment(tmp_path, dataset.spec, taxonomy)
     serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
     server = serving.serve_from_directory(
-        tmp_path, port=0, num_workers=2, max_wait_ms=0.5, backend=backend,
+        tmp_path, port=0, num_workers=2, max_wait_ms=0.5,
         enable_fault_injection=True,
         # Fault tests repeat identical payloads and need every request to
         # reach the scorer, so the result cache must be off.
@@ -686,7 +686,7 @@ class TestFaultsOverTheWire:
 
 
 # ----------------------------------------------------------------------
-# The chaos harness end to end (one backend; CI runs both)
+# The chaos harness end to end
 # ----------------------------------------------------------------------
 @pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -697,7 +697,7 @@ class TestChaosHarness:
         serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
         server = serving.serve_from_directory(
             tmp_path, port=0, num_workers=2, max_wait_ms=0.5,
-            backend="selector", enable_fault_injection=True,
+            enable_fault_injection=True,
             cache_entries=0,
             breaker_config=BreakerConfig(window_s=3.0, failure_threshold=0.05,
                                          min_requests=5, cooldown_s=0.5,

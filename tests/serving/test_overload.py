@@ -44,7 +44,7 @@ class _SlowToyModel:
         return score
 
 
-def _make_server(backend: str, delay_s: float = 0.05,
+def _make_server(delay_s: float = 0.05,
                  max_backlog_rows: int | None = 8,
                  drain_deadline_s: float = 5.0) -> ServingServer:
     registry = ModelRegistry()
@@ -52,8 +52,7 @@ def _make_server(backend: str, delay_s: float = 0.05,
     service = RankingService(registry, num_workers=1, max_batch_rows=4,
                              max_wait_ms=1.0,
                              max_backlog_rows=max_backlog_rows)
-    return ServingServer(service, backend=backend,
-                         drain_deadline_s=drain_deadline_s).start()
+    return ServingServer(service, drain_deadline_s=drain_deadline_s).start()
 
 
 def _rank_payload(rows: int = 4) -> bytes:
@@ -63,15 +62,16 @@ def _rank_payload(rows: int = 4) -> bytes:
     }).encode("utf-8")
 
 
-@pytest.fixture(params=["selector", "threaded"])
+@pytest.fixture(params=["selector"])
 def backend(request):
+    """Names the transport in the test ids."""
     return request.param
 
 
 class TestOverloadShedding:
     def test_every_request_served_or_shed_exactly(self, backend):
         """shed == submitted - served, across client and gateway books."""
-        server = _make_server(backend)
+        server = _make_server()
         try:
             ServingClient(server.url).wait_ready()
             per_thread = 8
@@ -116,7 +116,7 @@ class TestOverloadShedding:
 
     def test_operational_endpoints_never_shed(self):
         """Monitoring must keep answering while scoring traffic sheds."""
-        server = _make_server("selector", delay_s=0.3, max_backlog_rows=4)
+        server = _make_server(delay_s=0.3, max_backlog_rows=4)
         try:
             client = ServingClient(server.url)
             client.wait_ready()
@@ -144,7 +144,7 @@ class TestOverloadShedding:
 
     def test_shed_response_shape_pinned(self):
         """The 429 contract: error schema, Retry-After header, counted."""
-        server = _make_server("selector", delay_s=0.3, max_backlog_rows=4)
+        server = _make_server(delay_s=0.3, max_backlog_rows=4)
         try:
             ServingClient(server.url).wait_ready()
             holders = [threading.Thread(
@@ -175,7 +175,7 @@ class TestGracefulDrain:
         """The shutdown-drop regression: a request being scored when
         close() starts must still receive its response (the old teardown
         cancelled dispatch futures and reset the connection)."""
-        server = _make_server(backend, delay_s=0.3, max_backlog_rows=None)
+        server = _make_server(delay_s=0.3, max_backlog_rows=None)
         result = {}
 
         def slow_request():
@@ -194,7 +194,7 @@ class TestGracefulDrain:
     def test_selector_drain_marks_last_response_close(self):
         """A drain begun mid-request finishes it with Connection: close,
         then the serve loop exits on its own (no forced shutdown)."""
-        server = _make_server("selector", delay_s=0.3, max_backlog_rows=None)
+        server = _make_server(delay_s=0.3, max_backlog_rows=None)
         try:
             ServingClient(server.url).wait_ready()
             connection = http.client.HTTPConnection(server.host, server.port,
@@ -216,7 +216,7 @@ class TestGracefulDrain:
     def test_sigterm_drains_and_exits(self):
         """SIGTERM through install_signal_handlers: every accepted
         request answered, loop exits within the deadline, clean close."""
-        server = _make_server("selector", delay_s=0.3, max_backlog_rows=None)
+        server = _make_server(delay_s=0.3, max_backlog_rows=None)
         previous = server.install_signal_handlers()
         result = {}
         try:
@@ -245,7 +245,7 @@ class TestGracefulDrain:
 
     def test_drain_deadline_cuts_stuck_requests(self):
         """A request slower than the deadline cannot wedge shutdown."""
-        server = _make_server("selector", delay_s=3.0, max_backlog_rows=None,
+        server = _make_server(delay_s=3.0, max_backlog_rows=None,
                               drain_deadline_s=0.2)
         ServingClient(server.url).wait_ready()
 

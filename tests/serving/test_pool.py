@@ -1,9 +1,12 @@
 """Tests for :class:`repro.serving.ScorerPool`: concurrency, hot reload, and
 micro-batch assembly properties.
 
-Covers the PR 4 pool semantics:
+Covers the pool semantics:
 
 * per-worker compiled plans (one factory call per worker, exclusive use),
+* the single-worker pool around one score function
+  (``ScorerPool(lambda: fn, num_workers=1)``): coalescing, error
+  propagation, and non-finite scores failing only their own request,
 * aggregate + per-worker stats with conserved row/request counts,
 * the hot-reload soak: traffic through a :class:`RankingService` while a
   checkpoint directory reload swaps model versions mid-flight — every
@@ -25,9 +28,9 @@ from hypothesis import strategies as st
 
 from repro import nn, serving
 from repro.models import build_model
-from repro.serving import (BatchScorer, ModelRegistry, PoolOverloaded,
+from repro.serving import (ModelRegistry, NonFiniteScores, PoolOverloaded,
                            RankingService, ScorerPool, ScorerStats,
-                           latency_percentile)
+                           concat_batches, latency_percentile)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,119 @@ class TestScorerPool:
             ScorerPool(model.make_scorer, num_workers=0)
 
 
+class TestSingleWorkerPool:
+    """``ScorerPool(lambda: fn, num_workers=1)``: one worker around one
+    score function, which only that worker ever calls (a compiled plan's
+    scratch buffers are not thread-safe)."""
+
+    def test_concurrent_requests_micro_batched(self, model, dataset):
+        batches = [dataset.batch(np.arange(i, i + 5)) for i in range(40)]
+        expected = [model.score(b) for b in batches]
+        release = threading.Event()
+
+        def gated(batch):
+            release.wait(10)            # hold the worker while 40 queue up
+            return model.score(batch)
+
+        with ScorerPool(lambda: gated, num_workers=1,
+                        max_batch_rows=64) as pool:
+            futures = [pool.submit(b) for b in batches]
+            release.set()
+            for future, want in zip(futures, expected):
+                np.testing.assert_allclose(future.result(timeout=10), want,
+                                           atol=1e-12)
+            stats = pool.stats()
+        assert stats.requests == 40
+        assert stats.rows == 200
+        assert stats.batches < 40           # coalescing actually happened
+        assert stats.mean_batch_rows > 5.0
+        assert stats.throughput_rows_per_s > 0
+        assert stats.max_latency_ms >= stats.mean_latency_ms > 0
+
+    def test_close_completes_pending(self, model, dataset):
+        batch = dataset.batch(np.arange(24))
+        pool = ScorerPool(lambda: model.score, num_workers=1)
+        future = pool.submit(batch)
+        pool.close()
+        np.testing.assert_array_equal(future.result(timeout=10),
+                                      model.score(batch))
+
+    def test_exception_propagates_to_future(self, dataset):
+        def broken(_):
+            raise RuntimeError("model exploded")
+        with ScorerPool(lambda: broken, num_workers=1) as pool:
+            future = pool.submit(dataset.batch(np.arange(4)))
+            with pytest.raises(RuntimeError, match="model exploded"):
+                future.result(timeout=10)
+
+    def test_worker_survives_bad_requests(self, model, dataset):
+        """Merge failures and bad score shapes must fail the waiting
+        futures, not kill the worker (which would hang later callers)."""
+        batch = dataset.batch(np.arange(24))
+        with ScorerPool(lambda: model.score, num_workers=1) as pool:
+            malformed = dataset.batch(np.arange(4))
+            malformed.sparse = {"only_key": np.zeros(4, dtype=np.int64)}
+            with pytest.raises(Exception):
+                pool.submit(malformed).result(timeout=10)
+            # Worker still alive and scoring correctly afterwards.
+            np.testing.assert_array_equal(pool.score(batch),
+                                          model.score(batch))
+
+    def test_worker_survives_scalar_score_fn(self, dataset):
+        with ScorerPool(lambda: lambda b: np.float64(0.5),
+                        num_workers=1) as pool:
+            with pytest.raises(ValueError, match="shape"):
+                pool.submit(dataset.batch(np.arange(4))).result(timeout=10)
+
+    def test_non_finite_scores_fail_only_their_request(self, dataset):
+        """Requests whose own rows score NaN or inf fail with
+        NonFiniteScores; a finite request in the same micro-batch is
+        still answered."""
+        started, release = threading.Event(), threading.Event()
+
+        def first_column(batch):
+            started.set()
+            release.wait(10)
+            return np.asarray(batch.numeric[:, 0], dtype=np.float64)
+
+        def poisoned(rows, value):
+            batch = dataset.batch(rows)
+            batch.numeric = np.array(batch.numeric, dtype=np.float64)
+            batch.numeric[1, 0] = value
+            return batch
+
+        good = dataset.batch(np.arange(4))
+        with ScorerPool(lambda: first_column, num_workers=1) as pool:
+            blocker = pool.submit(dataset.batch(np.arange(2)))
+            assert started.wait(10)     # the worker holds the blocker
+            futures = [pool.submit(good),
+                       pool.submit(poisoned(np.arange(4, 8), np.nan)),
+                       pool.submit(poisoned(np.arange(8, 12), -np.inf))]
+            release.set()
+            blocker.result(timeout=10)
+            np.testing.assert_array_equal(futures[0].result(timeout=10),
+                                          good.numeric[:, 0])
+            for future in futures[1:]:
+                with pytest.raises(NonFiniteScores, match="1 of 4 rows"):
+                    future.result(timeout=10)
+            stats = pool.stats()
+        assert stats.batches == 2           # the three shared one batch
+
+    def test_concat_batches_round_trip(self, dataset):
+        a, b = dataset.batch(np.arange(5)), dataset.batch(np.arange(5, 12))
+        merged = concat_batches([a, b])
+        assert len(merged) == 12
+        np.testing.assert_array_equal(merged.numeric[:5], a.numeric)
+        np.testing.assert_array_equal(merged.sparse["query_sc"][5:],
+                                      b.sparse["query_sc"])
+
+    def test_invalid_knobs_rejected(self, model):
+        with pytest.raises(ValueError):
+            ScorerPool(lambda: model.score, num_workers=1, max_batch_rows=0)
+        with pytest.raises(ValueError):
+            ScorerPool(lambda: model.score, num_workers=1, max_wait_ms=-1.0)
+
+
 class TestAdmissionBound:
     """The pool's overload self-protection: a bounded backlog that sheds
     over-budget submissions with :class:`PoolOverloaded` instead of
@@ -222,21 +338,14 @@ class TestAdaptiveCap:
     """The adaptive micro-batch policy: cap = clamp(ceil(backlog /
     workers), min_batch_rows, max_batch_rows), recomputed at collect
     time (every worker rejoins within one batch, so the fair share is
-    over the whole pool).  ScorerPool defaults to adaptive; BatchScorer
-    pins the PR 3 static contract."""
+    over the whole pool)."""
 
     def test_defaults(self, model):
+        """Default clamps: an idle pool's cap is min_batch_rows=8, and no
+        backlog widens it past max_batch_rows=256."""
         with ScorerPool(model.make_scorer, num_workers=2) as pool:
-            assert pool.adaptive_batch
-        with BatchScorer(model.score) as scorer:
-            assert not scorer.adaptive_batch    # PR 3 contract unchanged
-
-    def test_static_override_pins_max_batch_rows(self, model):
-        with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=64, adaptive_batch=False) as pool:
-            assert not pool.adaptive_batch
-            assert pool.current_batch_cap() == 64
-            assert pool._collect_cap(1000) == 64
+            assert pool.current_batch_cap() == 8
+            assert pool._collect_cap(10_000) == 256
 
     def test_cap_formula(self, model):
         """White-box: the clamp arithmetic over the live backlog."""
@@ -279,17 +388,8 @@ class TestAdaptiveCap:
                         min_batch_rows=8) as pool:
             started = time.monotonic()
             pool.score(batch)
-            adaptive_elapsed = time.monotonic() - started
-        with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=256, max_wait_ms=wait_ms,
-                        adaptive_batch=False) as pool:
-            started = time.monotonic()
-            pool.score(batch)
-            static_elapsed = time.monotonic() - started
-        # The static pool must wait out the full coalescing window; the
-        # adaptive pool answers as soon as the request meets its cap.
-        assert adaptive_elapsed < wait_ms / 1000.0 / 2
-        assert static_elapsed >= wait_ms / 1000.0 * 0.9
+            elapsed = time.monotonic() - started
+        assert elapsed < wait_ms / 1000.0 / 2
 
     def test_lone_small_request_skips_straggler_wait(self, model, dataset):
         """A request below min_batch_rows into an idle pool is scored at
@@ -337,8 +437,8 @@ class TestScorerStatsWindow:
     """Empty/low-sample latency semantics are pinned, not numpy accidents."""
 
     def test_empty_window_is_all_zeros(self, model):
-        with BatchScorer(model.score) as scorer:
-            stats = scorer.stats()
+        with ScorerPool(lambda: model.score, num_workers=1) as pool:
+            stats = pool.stats()
         assert stats.latency_samples == 0
         assert stats.mean_latency_ms == 0.0
         assert stats.p95_latency_ms == 0.0
@@ -347,9 +447,9 @@ class TestScorerStatsWindow:
         assert stats.throughput_rows_per_s == 0.0
 
     def test_single_sample_percentile_is_that_sample(self, model, dataset):
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
-            scorer.score(dataset.batch(np.arange(4)))
-            stats = scorer.stats()
+        with ScorerPool(lambda: model.score, num_workers=1) as pool:
+            pool.score(dataset.batch(np.arange(4)))
+            stats = pool.stats()
         assert stats.latency_samples == 1
         assert stats.p95_latency_ms == stats.max_latency_ms > 0.0
         assert stats.mean_latency_ms == stats.max_latency_ms
@@ -462,17 +562,16 @@ class TestMicroBatchAssemblyProperties:
            num_workers=st.integers(min_value=1, max_value=4),
            max_batch_rows=st.integers(min_value=1, max_value=48),
            max_wait_ms=st.sampled_from([0.0, 0.5, 2.0]),
-           submitters=st.integers(min_value=1, max_value=4),
-           adaptive=st.booleans())
+           submitters=st.integers(min_value=1, max_value=4))
     def test_assembly_exact_and_conserved(self, model, dataset, sizes,
                                           num_workers, max_batch_rows,
-                                          max_wait_ms, submitters, adaptive):
+                                          max_wait_ms, submitters):
         requests = [dataset.batch(np.arange(i % 8, i % 8 + size))
                     for i, size in enumerate(sizes)]
         expected = [model.score(b) for b in requests]
         with ScorerPool(model.make_scorer, num_workers=num_workers,
                         max_batch_rows=max_batch_rows,
-                        max_wait_ms=max_wait_ms, adaptive_batch=adaptive) as pool:
+                        max_wait_ms=max_wait_ms) as pool:
             # Random-ish arrival: requests fan out over several submitter
             # threads, so enqueue order interleaves with worker collection.
             with ThreadPoolExecutor(max_workers=submitters) as executor:

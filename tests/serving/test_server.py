@@ -6,10 +6,8 @@ checkpoint directory, and every request goes over the wire through
 /healthz and /stats response schemas are pinned: they are the monitoring
 contract.
 
-The whole module is parametrized over **both connection backends** —
-the selector event loop and the threaded fallback serve the same
-protocol and dispatch layers, and this suite (including the hot-reload
-path) is what pins their behavioral parity.
+Every test runs against the selector transport, the gateway's one
+connection front-end; the ``backend`` fixture names it in the test ids.
 """
 
 import json
@@ -25,8 +23,9 @@ from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
 from repro.serving import ServingClient, ServingError
 
 
-@pytest.fixture(scope="module", params=["selector", "threaded"])
+@pytest.fixture(scope="module", params=["selector"])
 def backend(request):
+    """Names the transport in the test ids."""
     return request.param
 
 
@@ -38,7 +37,7 @@ def model(dataset, taxonomy, tiny_model_config):
 
 @pytest.fixture(scope="module")
 def checkpoint_dir(model, dataset, taxonomy, log, tmp_path_factory, backend):
-    # Fresh directory per backend: the hot-reload test mutates it.
+    # Fresh directory per module: the hot-reload test mutates it.
     directory = tmp_path_factory.mktemp(f"gateway-ckpts-{backend}")
     serving.save_environment(directory, dataset.spec, taxonomy)
     serving.save_checkpoint(model, directory / "ranker", "adv-hsc-moe")
@@ -50,10 +49,9 @@ def checkpoint_dir(model, dataset, taxonomy, log, tmp_path_factory, backend):
 
 
 @pytest.fixture(scope="module")
-def server(checkpoint_dir, backend):
+def server(checkpoint_dir):
     server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                          num_workers=2, max_wait_ms=0.5,
-                                          backend=backend)
+                                          num_workers=2, max_wait_ms=0.5)
     server.start()
     yield server
     server.close()
@@ -141,6 +139,59 @@ class TestRankEndpoint:
             client.rank(numeric, batch.sparse)
         assert excinfo.value.status == 400
         assert excinfo.value.kind == "bad_request"
+
+    def test_empty_candidate_list_is_400(self, client, model, dataset):
+        """``numeric: []`` is refused with a message naming the empty
+        list, with a schema (every sparse list empty too) and without one
+        (no sparse features at all)."""
+        empty_sparse = {name: [] for name in dataset.spec.sparse_names}
+        registry = serving.ModelRegistry()
+        registry.register("ranker", model)
+        service = serving.RankingService(registry, default_model="ranker",
+                                         max_wait_ms=0.0)
+        with serving.ServingServer(service, port=0).start() as bare:
+            bare_client = ServingClient(bare.url)
+            bare_client.wait_ready(timeout_s=30)
+            for target, sparse in ((client, empty_sparse), (bare_client, {})):
+                with pytest.raises(ServingError) as excinfo:
+                    target.rank([], sparse)
+                assert excinfo.value.status == 400
+                assert excinfo.value.kind == "bad_request"
+                assert "candidates.numeric is an empty list" in str(
+                    excinfo.value)
+
+    def test_nan_scoring_model_is_structured_500(self, dataset):
+        """A model that scores NaN never answers 200: the gateway sends a
+        structured 500 that parses as strict JSON, and the model's
+        breaker counts the failure."""
+        class _NaNModel:
+            def score(self, batch):
+                return np.full(len(batch), np.nan)
+
+        def strict_constant(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        registry = serving.ModelRegistry()
+        registry.register("nan", _NaNModel())
+        service = serving.RankingService(
+            registry, default_model="nan", max_wait_ms=0.0,
+            breaker_config=serving.BreakerConfig())
+        batch = dataset.batch(np.arange(6))
+        body = json.dumps({"candidates": {
+            "numeric": batch.numeric.tolist(),
+            "sparse": {k: v.tolist() for k, v in batch.sparse.items()}}})
+        with serving.ServingServer(service, port=0).start() as nan_server:
+            nan_client = ServingClient(nan_server.url)
+            nan_client.wait_ready(timeout_s=30)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _raw_post(nan_server.url, "/rank", body.encode())
+            raw = excinfo.value.read()
+            breaker = nan_client.stats()["breakers"]["nan"]
+        assert excinfo.value.code == 500
+        payload = json.loads(raw, parse_constant=strict_constant)
+        assert payload["error"]["type"] == "internal"
+        assert "non-finite scores" in payload["error"]["message"]
+        assert breaker["window_failures"] == 1
 
     def test_bad_top_k_is_400(self, client, batch):
         with pytest.raises(ServingError) as excinfo:
@@ -282,7 +333,7 @@ class TestOperationalEndpoints:
 
     def test_stats_connection_counters_pinned(self, client, batch):
         """Gateway-level connection counters: schema and keep-alive
-        accounting are part of the monitoring contract on both backends."""
+        accounting are part of the monitoring contract."""
         before = client.stats()["server"]["connections"]
         assert set(before) == {"open", "accepted", "requests",
                                "keepalive_reuses", "in_flight"}
@@ -347,7 +398,7 @@ class TestHotReload:
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker")
-        server = serving.ServingServer(service, port=0, backend=backend)
+        server = serving.ServingServer(service, port=0)
         server.close()                  # bound but never served: must return
 
     def test_reload_without_checkpoint_dir_is_400(self, model, dataset, backend):
@@ -355,8 +406,7 @@ class TestHotReload:
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
                                          max_wait_ms=0.0)
-        with serving.ServingServer(service, port=0,
-                                   backend=backend).start() as bare:
+        with serving.ServingServer(service, port=0).start() as bare:
             bare_client = ServingClient(bare.url)
             bare_client.wait_ready(timeout_s=30)
             with pytest.raises(ServingError) as excinfo:

@@ -1,15 +1,12 @@
 """Tests for the ``repro.serving`` subsystem."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro import nn, serving
 from repro.models import build_model
 from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
-from repro.serving import (BatchScorer, ModelRegistry, RankingService,
-                           candidate_batch, concat_batches)
+from repro.serving import ModelRegistry, RankingService, candidate_batch
 
 
 @pytest.fixture(scope="module")
@@ -171,93 +168,6 @@ class TestModelRegistry:
                                                   dataset.spec, taxonomy)
 
 
-class TestBatchScorer:
-    def test_scores_match_direct(self, model, batch):
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
-            np.testing.assert_array_equal(scorer.score(batch), model.score(batch))
-
-    def test_concurrent_requests_micro_batched(self, model, dataset):
-        batches = [dataset.batch(np.arange(i, i + 5)) for i in range(40)]
-        expected = [model.score(b) for b in batches]
-        with BatchScorer(model.score, max_batch_rows=64, max_wait_ms=20.0) as scorer:
-            futures = [scorer.submit(b) for b in batches]
-            for future, want in zip(futures, expected):
-                np.testing.assert_allclose(future.result(timeout=10), want,
-                                           atol=1e-12)
-            stats = scorer.stats()
-        assert stats.requests == 40
-        assert stats.rows == 200
-        assert stats.batches < 40           # coalescing actually happened
-        assert stats.mean_batch_rows > 5.0
-        assert stats.throughput_rows_per_s > 0
-        assert stats.max_latency_ms >= stats.mean_latency_ms > 0
-
-    def test_submit_after_close_raises(self, model, batch):
-        scorer = BatchScorer(model.score)
-        scorer.close()
-        with pytest.raises(RuntimeError):
-            scorer.submit(batch)
-
-    def test_close_completes_pending(self, model, batch):
-        scorer = BatchScorer(model.score, max_wait_ms=50.0)
-        future = scorer.submit(batch)
-        scorer.close()
-        np.testing.assert_array_equal(future.result(timeout=10), model.score(batch))
-
-    def test_exception_propagates_to_future(self, batch):
-        def broken(_):
-            raise RuntimeError("model exploded")
-        with BatchScorer(broken, max_wait_ms=0.0) as scorer:
-            future = scorer.submit(batch)
-            with pytest.raises(RuntimeError, match="model exploded"):
-                future.result(timeout=10)
-
-    def test_worker_survives_bad_requests(self, model, batch, dataset):
-        """Merge failures and bad score shapes must fail the waiting
-        futures, not kill the worker (which would hang later callers)."""
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
-            malformed = dataset.batch(np.arange(4))
-            malformed.sparse = {"only_key": np.zeros(4, dtype=np.int64)}
-            with pytest.raises(Exception):
-                scorer.submit(malformed).result(timeout=10)
-            # Worker still alive and scoring correctly afterwards.
-            np.testing.assert_array_equal(scorer.score(batch), model.score(batch))
-
-    def test_worker_survives_scalar_score_fn(self, batch):
-        with BatchScorer(lambda b: np.float64(0.5), max_wait_ms=0.0) as scorer:
-            with pytest.raises(ValueError, match="shape"):
-                scorer.submit(batch).result(timeout=10)
-
-    def test_many_threads_submit(self, model, dataset):
-        results = {}
-        with BatchScorer(model.score, max_batch_rows=128, max_wait_ms=5.0) as scorer:
-            def submit(i):
-                results[i] = scorer.score(dataset.batch(np.arange(i, i + 3)))
-            threads = [threading.Thread(target=submit, args=(i,)) for i in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        for i in range(16):
-            np.testing.assert_allclose(
-                results[i], model.score(dataset.batch(np.arange(i, i + 3))),
-                atol=1e-12)
-
-    def test_concat_batches_round_trip(self, dataset):
-        a, b = dataset.batch(np.arange(5)), dataset.batch(np.arange(5, 12))
-        merged = concat_batches([a, b])
-        assert len(merged) == 12
-        np.testing.assert_array_equal(merged.numeric[:5], a.numeric)
-        np.testing.assert_array_equal(merged.sparse["query_sc"][5:],
-                                      b.sparse["query_sc"])
-
-    def test_invalid_knobs_rejected(self, model):
-        with pytest.raises(ValueError):
-            BatchScorer(model.score, max_batch_rows=0)
-        with pytest.raises(ValueError):
-            BatchScorer(model.score, max_wait_ms=-1.0)
-
-
 class TestRankingService:
     @pytest.fixture()
     def registry(self, model):
@@ -382,51 +292,6 @@ class TestRankingService:
     def test_invalid_num_workers_rejected(self, registry):
         with pytest.raises(ValueError):
             RankingService(registry, num_workers=0)
-
-    def test_split_precompute_matches_reference(self, dataset, taxonomy,
-                                                tiny_model_config, batch):
-        """split_precompute routes scoring through the split plan + shared
-        prefix memo; answers must match the full plan to float rounding,
-        repeat requests included (memoized prefixes)."""
-        dnn = build_model("dnn", dataset.spec, taxonomy, tiny_model_config)
-        assert dnn.make_split_scorer() is not None
-        registry = ModelRegistry()
-        registry.register("ranker", dnn)
-        with RankingService(registry, default_model="ranker", max_wait_ms=0.0,
-                            num_workers=2, split_precompute=True) as service:
-            first = service.rank(batch, top_k=6)
-            second = service.rank(batch, top_k=6)
-        expected = np.sort(dnn.score(batch))[::-1][:6]
-        np.testing.assert_allclose(first.scores, expected, atol=1e-9)
-        np.testing.assert_allclose(second.scores, expected, atol=1e-9)
-
-    def test_split_precompute_serves_moe_through_its_scorer(
-            self, registry, model, batch):
-        """MoE models offer no split plan, so the flag leaves them on the
-        sparse compiled scorer: answers equal ``score``."""
-        assert model.make_split_scorer() is None
-        with RankingService(registry, default_model="ranker", max_wait_ms=0.0,
-                            num_workers=2, split_precompute=True) as service:
-            response = service.rank(batch, top_k=6)
-        np.testing.assert_allclose(response.scores,
-                                   np.sort(model.score(batch))[::-1][:6],
-                                   atol=1e-12)
-
-    def test_split_precompute_falls_back_without_support(self, batch):
-        """Models without make_split_scorer (arbitrary scorables) must
-        still serve when the flag is on."""
-        class _Plain:
-            def score(self, b):
-                return np.asarray(b.numeric[:, 0], dtype=np.float64)
-
-        registry = ModelRegistry()
-        registry.register("plain", _Plain())
-        with RankingService(registry, default_model="plain", max_wait_ms=0.0,
-                            split_precompute=True) as service:
-            response = service.rank(batch, top_k=3)
-        np.testing.assert_allclose(
-            response.scores,
-            np.sort(np.asarray(batch.numeric[:, 0]))[::-1][:3], atol=1e-12)
 
     def test_candidate_batch_shapes(self, dataset):
         raw = dataset.batch(np.arange(6))

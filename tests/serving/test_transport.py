@@ -3,7 +3,7 @@
 The keep-alive gateway must survive clients that fragment, stall, flood,
 and pipeline: partial header delivery, slow-loris byte-at-a-time bodies
 hitting the idle timeout, back-to-back pipelined requests in one
-segment, and oversized bodies — all against a **real** selector-backend
+segment, and oversized bodies — all against a **real** selector-transport
 server over raw sockets, plus unit coverage of the incremental
 :class:`RequestParser` itself and the client's stale-socket retry.
 """
@@ -18,7 +18,7 @@ import pytest
 from repro import serving
 from repro.models import build_model
 from repro.serving import ProtocolError, RequestParser, ServingClient
-from repro.serving.protocol import encode_response
+from repro.serving.protocol import encode_json, encode_response
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,6 @@ def server(model, dataset):
     service = serving.RankingService(registry, default_model="ranker",
                                      num_workers=2, max_wait_ms=0.5)
     server = serving.ServingServer(service, port=0, spec=dataset.spec,
-                                   backend="selector",
                                    idle_timeout_s=IDLE_TIMEOUT_S,
                                    max_body_bytes=MAX_BODY)
     server.start()
@@ -190,24 +189,6 @@ class TestAdversarialFraming:
         assert status == 413
         assert payload["error"]["type"] == "payload_too_large"
         assert remainder == b""             # framing broke: connection closed
-
-    def test_oversized_body_is_structured_413_threaded(self, model, dataset):
-        """The threaded fallback enforces the same body limit."""
-        registry = serving.ModelRegistry()
-        registry.register("ranker", model)
-        service = serving.RankingService(registry, default_model="ranker")
-        with serving.ServingServer(service, port=0, backend="threaded",
-                                   max_body_bytes=MAX_BODY).start() as srv:
-            ServingClient(srv.url).wait_ready(timeout_s=30)
-            sock = _connect(srv)
-            try:
-                sock.sendall(f"POST /rank HTTP/1.1\r\n"
-                             f"Content-Length: {MAX_BODY + 1}\r\n\r\n".encode())
-                status, payload = _read_response(sock)
-            finally:
-                sock.close()
-        assert status == 413
-        assert payload["error"]["type"] == "payload_too_large"
 
     def test_valid_request_answered_before_pipelined_garbage(self, server):
         """A segment carrying a good request followed by a framing
@@ -376,6 +357,17 @@ class TestRequestParser:
         assert json.loads(body) == {"ok": True}
         assert f"Content-Length: {len(body)}".encode() in head
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       np.float32("-inf")],
+                             ids=["nan", "inf", "f32-neg-inf"])
+    def test_encode_json_refuses_non_finite(self, value):
+        """RFC 8259 has no NaN or Infinity: a payload holding one raises
+        instead of rendering bare ``NaN`` tokens a strict parser rejects."""
+        with pytest.raises(ValueError):
+            encode_json({"scores": np.asarray([0.5, value])})
+        with pytest.raises(ValueError):
+            encode_json({"latency_ms": value})
+
 
 class TestEventLoopDoesNotSpin:
     def test_desynced_stream_with_inflight_handler_parks_the_socket(self):
@@ -428,8 +420,8 @@ class TestEventLoopDoesNotSpin:
         """The event loop is event-driven, not polled: with every
         connection's handler in flight there is nothing reapable, so
         select() must block indefinitely instead of waking on a timer.
-        The old idle floor (``max(poll_interval, 0.05)``) woke the loop
-        20x/s here; the wakeup counter pins the fix."""
+        A 50 ms idle floor would wake the loop 20x/s here; the wakeup
+        counter pins the fix."""
         import threading
 
         from repro.serving import SelectorTransport
@@ -591,18 +583,13 @@ class TestShardedTransport:
             for sock in listeners:
                 sock.close()
 
-    def test_threaded_backend_rejects_shards(self):
-        from repro.serving.transport import create_transport
-        with pytest.raises(ValueError, match="selector"):
-            create_transport("threaded", "127.0.0.1", 0, None, shards=2)
-
     def test_sharded_gateway_end_to_end(self, model, dataset):
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
                                          num_workers=2, max_wait_ms=0.5)
         server = serving.ServingServer(service, port=0, spec=dataset.spec,
-                                       backend="selector", gateway_shards=2)
+                                       gateway_shards=2)
         try:
             assert isinstance(server._transport, serving.ShardedTransport)
             assert server._transport.shards == 2
@@ -627,8 +614,7 @@ class TestShardedTransport:
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
                                          num_workers=1, max_wait_ms=0.0)
-        server = serving.ServingServer(service, port=0, spec=dataset.spec,
-                                       backend="selector")
+        server = serving.ServingServer(service, port=0, spec=dataset.spec)
         # Swap in a transport forced onto the dup() path, reusing the
         # server's dispatcher — proves the fallback serves identically.
         server._transport.server_close()
