@@ -216,12 +216,13 @@ def linear_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     if out.requires_grad:
         def _backward():
             gh = out.grad * (out.data > 0)
+            # Each gradient below is a fresh array for one parent only.
             if x.requires_grad:
-                x._accumulate(gh @ weight.data.T)
+                x._accumulate(gh @ weight.data.T, owned=True)
             if weight.requires_grad:
-                weight._accumulate(x.data.T @ gh)
+                weight._accumulate(x.data.T @ gh, owned=True)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(gh.sum(axis=0))
+                bias._accumulate(gh.sum(axis=0), owned=True)
         out._backward = _backward
     return out
 

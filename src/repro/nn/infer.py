@@ -33,11 +33,19 @@ Semantics
 * Unknown module types fall back to the module's Tensor forward under
   ``no_grad`` so custom models still compile; only the types registered
   here get the fast closures.
-* **Packed ragged scans**: a compiled GRU/BiGRU whose cell has
+* **Direction-stacked scans**: a compiled GRU is a stack of one
+  direction and a BiGRU a stack of two.  The masked scan advances every
+  direction in the same numpy calls — a ``(D, B, H)`` state, ``(D, H, 3H)``
+  stacked recurrent weights, and an input projection whose reverse
+  directions have their time axis flipped — with one sigmoid call per
+  step over the reset and update gates of all directions.  A single
+  query therefore costs one short scan of ``T`` steps.
+* **Packed ragged scans**: a compiled GRU/BiGRU whose cells have
   ``packed=True`` (the default) automatically routes ragged batches
-  through a sort-by-length packed scan (the serving mirror of
-  ``gru_sequence_packed``) — each timestep only computes the still-valid
-  prefix.  Uniform batches keep the masked scan.
+  (``lengths.min() < time``) through a sort-by-length packed scan per
+  direction (the serving mirror of ``gru_sequence_packed``) — each
+  timestep only computes the still-valid prefix.  Uniform batches keep
+  the stacked masked scan.
 * **int8 quantized lane**: a Linear carrying a
   :class:`~repro.nn.quantize.QuantizedWeight` (see ``hydrate_quantized``)
   compiles to the blocked int8→f32 matmul with f32 accumulation instead
@@ -227,7 +235,7 @@ class CompiledPlan:
             x = x.data
         x = np.asarray(x)
         dtype = self.dtype
-        if dtype is not None and np.issubdtype(x.dtype, np.floating) and x.dtype != dtype:
+        if dtype is not None and x.dtype.kind == "f" and x.dtype != dtype:
             x = x.astype(dtype)
         return self._fn(x, *args, **kwargs)
 
@@ -404,27 +412,20 @@ def _compile_embedding(module: Embedding, pool: BufferPool) -> Callable:
 # ----------------------------------------------------------------------
 # Recurrent compilers — gru_sequence's forward math, no graph
 # ----------------------------------------------------------------------
-def _gru_scan(cell: GRUCell, pool: BufferPool, reverse: bool) -> Callable:
-    """Compile one direction of a GRU scan to plain numpy.
+def _gru_packed_scan(cell: GRUCell, pool: BufferPool, reverse: bool) -> Callable:
+    """Compile one direction's packed ragged scan to plain numpy.
 
-    Follows :func:`repro.nn.functional.gru_sequence` step for step: the
-    input projection is one (B·T, 3H) matmul hoisted out of the loop, each
-    step computes the fused cell's forward, and steps where every example
-    is valid skip the mask.  Returns the final hidden state.
-
-    When the batch is ragged and ``cell.packed`` is set (the default), the
-    scan packs instead — the serving mirror of
-    :func:`repro.nn.functional.gru_sequence_packed`: sort rows by length
-    once (``_packed_order``'s early-exits apply), project only the valid
-    (example, step) positions, update only the still-valid prefix at each
-    step, and unsort the final state.
+    The serving mirror of :func:`repro.nn.functional.gru_sequence_packed`:
+    sort rows by length once (``_packed_order``'s early-exits apply),
+    project only the valid (example, step) positions, update only the
+    still-valid prefix at each step, and unsort the final state.
     """
     step_proj = pool.reserve()
     step_gates = pool.reserve()
     step_pack = pool.reserve()
     step_out = pool.reserve()
 
-    def run_packed(x, lens):
+    def run(x, lens):
         w_ih, w_hh = cell.weight_ih.data, cell.weight_hh.data
         b_ih, b_hh = cell.bias_ih.data, cell.bias_hh.data
         batch, time, features = x.shape
@@ -461,8 +462,8 @@ def _gru_scan(cell: GRUCell, pool: BufferPool, reverse: bool) -> Callable:
             np.matmul(hp, w_hh, out=gates)
             gates += b_hh
             xg = proj[offsets[t]:offsets[t + 1]]
-            r = _stable_sigmoid(xg[:, :hs] + gates[:, :hs])
-            z = _stable_sigmoid(xg[:, hs:2 * hs] + gates[:, hs:2 * hs])
+            rz = _stable_sigmoid(xg[:, :2 * hs] + gates[:, :2 * hs])
+            r, z = rz[:, :hs], rz[:, hs:]
             n = np.tanh(xg[:, 2 * hs:] + r * gates[:, 2 * hs:])
             h[:nt] = (1.0 - z) * n + z * hp
         if order is None:
@@ -470,42 +471,92 @@ def _gru_scan(cell: GRUCell, pool: BufferPool, reverse: bool) -> Callable:
         inverse = np.empty(batch, dtype=np.int64)
         inverse[order] = np.arange(batch, dtype=np.int64)
         return h[inverse]
+    return run
+
+
+def _gru_scan(grus: list[GRU], pool: BufferPool) -> Callable:
+    """Compile a stack of GRU directions to one plain-numpy scan.
+
+    ``GRU`` compiles with one direction and ``BiGRU`` with two; the scan
+    returns the directions' final hidden states side by side,
+    ``(batch, D·hidden)``.  It follows
+    :func:`repro.nn.functional.gru_sequence` step for step, but advances
+    every direction in the same numpy calls: the state is ``(D, B, H)``,
+    the recurrent weights are stacked to ``(D, H, 3H)``, and the hoisted
+    input projection (one (B·T, 3H) matmul per direction) has the time
+    axis of each reverse direction flipped.  So step ``i`` advances a
+    forward direction at ``t = i`` and a reverse one at ``t = T-1-i``.
+    Each step makes one sigmoid call, over the reset and update gate
+    columns ``[:2H]`` of every direction.  Ragged ``lengths`` mask the
+    update (``h' = m*h_new + (1-m)*h``) with each direction's mask in
+    its own time order; steps where every row of every direction is
+    valid skip the mask.
+
+    When the batch is ragged (``lengths.min() < time``) and every cell
+    has ``packed`` set (the default), each direction runs its own packed
+    scan instead (:func:`_gru_packed_scan`).  A uniform batch — such as
+    one query — always takes the stacked loop.
+    """
+    cells = [gru.cell for gru in grus]
+    flips = [gru.reverse for gru in grus]
+    directions = len(grus)
+    packed_scans = [_gru_packed_scan(gru.cell, pool, gru.reverse) for gru in grus]
+    step_proj = pool.reserve()
+    step_gates = pool.reserve()
+    step_w_hh = pool.reserve()
+    step_b_hh = pool.reserve()
 
     def run(x, lengths=None):
-        w_ih, w_hh = cell.weight_ih.data, cell.weight_hh.data
-        b_ih, b_hh = cell.bias_ih.data, cell.bias_hh.data
         batch, time, features = x.shape
-        hs = w_hh.shape[0]
-        if lengths is not None and cell.packed:
-            lens = np.clip(np.asarray(lengths), 0, time)
+        ragged = None
+        if lengths is not None:
+            lens = np.asarray(lengths)
             # Same dispatch rule as nn.rnn.GRU: packing only pays for
             # itself when there are padded positions to skip.
             if lens.size and lens.min() < time:
-                return run_packed(x, lens)
-        proj = pool.get(step_proj, (batch * time, 3 * hs), w_ih.dtype)
-        np.matmul(x.reshape(batch * time, features), w_ih, out=proj)
-        proj += b_ih
-        proj = proj.reshape(batch, time, 3 * hs)
-        if lengths is not None:
-            valid = np.asarray(lengths).reshape(-1, 1) > np.arange(time)[None, :]
-            masks = valid.astype(w_hh.dtype)
-            full_steps = valid.all(axis=0)
-        h = np.zeros((batch, hs), dtype=w_hh.dtype)
-        gates = pool.get(step_gates, (batch, 3 * hs), w_hh.dtype)
-        steps = range(time - 1, -1, -1) if reverse else range(time)
-        for t in steps:
+                if all(cell.packed for cell in cells):
+                    lens = np.clip(lens, 0, time)
+                    finals = [scan(x, lens) for scan in packed_scans]
+                    return finals[0] if directions == 1 else np.concatenate(finals, axis=1)
+                ragged = lens
+        dtype = cells[0].weight_hh.data.dtype
+        hs = cells[0].hidden_size
+        # Parameters are read live, so the stacks are refilled per call.
+        w_hh = pool.get(step_w_hh, (directions, hs, 3 * hs), dtype)
+        b_hh = pool.get(step_b_hh, (directions, 1, 3 * hs), dtype)
+        proj = pool.get(step_proj, (directions, batch, time, 3 * hs), dtype)
+        x_flat = x.reshape(batch * time, features)
+        for d, cell in enumerate(cells):
+            w_hh[d] = cell.weight_hh.data
+            b_hh[d, 0] = cell.bias_hh.data
+            proj_d = proj[d].reshape(batch * time, 3 * hs)
+            np.matmul(x_flat, cell.weight_ih.data, out=proj_d)
+            proj_d += cell.bias_ih.data
+            if flips[d]:
+                proj[d] = proj[d, :, ::-1]
+        masks = None
+        if ragged is not None:
+            valid = ragged.reshape(-1, 1) > np.arange(time)[None, :]
+            valid = np.stack([valid[:, ::-1] if flip else valid for flip in flips])
+            masks = valid.astype(dtype)[..., None]      # (D, B, T, 1)
+            full_steps = valid.all(axis=(0, 1))         # steps needing no mask
+        h = np.zeros((directions, batch, hs), dtype=dtype)
+        gates = pool.get(step_gates, (directions, batch, 3 * hs), dtype)
+        # Gate-column views, sliced once: [r | z] and n.
+        proj_rz, proj_n = proj[..., :2 * hs], proj[..., 2 * hs:]
+        gates_rz, gates_n = gates[..., :2 * hs], gates[..., 2 * hs:]
+        for i in range(time):
             np.matmul(h, w_hh, out=gates)
             gates += b_hh
-            xg = proj[:, t, :]
-            r = _stable_sigmoid(xg[:, :hs] + gates[:, :hs])
-            z = _stable_sigmoid(xg[:, hs:2 * hs] + gates[:, hs:2 * hs])
-            n = np.tanh(xg[:, 2 * hs:] + r * gates[:, 2 * hs:])
+            rz = _stable_sigmoid(proj_rz[:, :, i] + gates_rz)
+            r, z = rz[..., :hs], rz[..., hs:]
+            n = np.tanh(proj_n[:, :, i] + r * gates_n)
             h_new = (1.0 - z) * n + z * h
-            if lengths is not None and not full_steps[t]:
-                m = masks[:, t:t + 1]
+            if masks is not None and not full_steps[i]:
+                m = masks[:, :, i]
                 h_new = m * h_new + (1.0 - m) * h
             h = h_new
-        return h
+        return h.transpose(1, 0, 2).reshape(batch, directions * hs)
     return run
 
 
@@ -518,8 +569,8 @@ def _compile_gru_cell(module: GRUCell, pool: BufferPool) -> Callable:
             h = h.data
         x_gates = x @ w_ih + module.bias_ih.data
         gates_h = h @ w_hh + module.bias_hh.data
-        r = _stable_sigmoid(x_gates[:, :hs] + gates_h[:, :hs])
-        z = _stable_sigmoid(x_gates[:, hs:2 * hs] + gates_h[:, hs:2 * hs])
+        rz = _stable_sigmoid(x_gates[:, :2 * hs] + gates_h[:, :2 * hs])
+        r, z = rz[:, :hs], rz[:, hs:]
         n = np.tanh(x_gates[:, 2 * hs:] + r * gates_h[:, 2 * hs:])
         return (1.0 - z) * n + z * h
     return run
@@ -528,21 +579,10 @@ def _compile_gru_cell(module: GRUCell, pool: BufferPool) -> Callable:
 @register_compiler(GRU)
 def _compile_gru(module: GRU, pool: BufferPool) -> Callable:
     # Serving output: the final hidden state (B, H) — not the per-step list.
-    return _gru_scan(module.cell, pool, module.reverse)
+    return _gru_scan([module], pool)
 
 
 @register_compiler(BiGRU)
 def _compile_bigru(module: BiGRU, pool: BufferPool) -> Callable:
-    forward = _gru_scan(module.forward_gru.cell, pool, reverse=False)
-    backward = _gru_scan(module.backward_gru.cell, pool, reverse=True)
-    step = pool.reserve()
-    hs = module.hidden_size
-
-    def run(x, lengths=None):
-        h_forward = forward(x, lengths=lengths)
-        h_backward = backward(x, lengths=lengths)
-        out = pool.get(step, (x.shape[0], 2 * hs), h_forward.dtype)
-        out[:, :hs] = h_forward
-        out[:, hs:] = h_backward
-        return out
-    return run
+    # The concatenated final states (B, 2H), as the Tensor forward returns.
+    return _gru_scan([module.forward_gru, module.backward_gru], pool)

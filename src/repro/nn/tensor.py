@@ -109,9 +109,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic on a raw array: exact for large |x| in
     both directions.  Shared by :meth:`Tensor.sigmoid` and the fused BCE
-    kernel so the stability numerics live in exactly one place."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                    np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+    kernel so the stability numerics live in exactly one place.
+
+    One ``exp`` of a never-positive argument serves both branches:
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below, with
+    ``e = exp(-|x|)`` — bit for bit the two-branch form
+    ``where(x >= 0, 1 / (1 + exp(-x)), exp(x) / (1 + exp(x)))``, and
+    the dtype of ``x`` is kept."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def as_tensor(value, dtype=None) -> "Tensor":
@@ -222,11 +228,24 @@ class Tensor:
         out = Tensor(data, requires_grad=requires, _prev=parents if requires else (), _op=op)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into ``self.grad``."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Accumulate ``grad`` into ``self.grad``.
+
+        The first gradient is written once, never added into a zero-filled
+        buffer.  ``owned=True`` says the calling op allocated ``grad`` and
+        hands it to no other tensor; such an array becomes the gradient
+        buffer itself when its dtype and shape already match.  Any other
+        first gradient is copied at this tensor's dtype and shape, so a
+        later in-place add can never write into an array another node
+        still reads.  Later gradients are added in place.
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif owned and grad.dtype == self.data.dtype and grad.shape == self.data.shape:
+            self.grad = grad
+        else:
+            self.grad = np.array(np.broadcast_to(grad, self.data.shape),
+                                 dtype=self.data.dtype, order="C")
 
     # ------------------------------------------------------------------
     # Backward pass

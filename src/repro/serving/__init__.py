@@ -35,6 +35,8 @@ generates the matching skewed workload and gates on the gateway's own
 hit-rate counters.
 """
 
+import importlib
+
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import ResultCache, canonical_key
 from .checkpoint import (ENVIRONMENT_FILENAME, CheckpointCorrupted,
@@ -46,8 +48,7 @@ from .checkpoint import (ENVIRONMENT_FILENAME, CheckpointCorrupted,
                          save_environment)
 from .client import ServingClient, ServingError
 from .faults import FaultInjector, InjectedFault, WorkerKilled
-from .handlers import GatewayDispatcher
-from .loadgen import LoadSummary, run_chaos, run_load, run_sweep
+from .handlers import ApiError, GatewayDispatcher
 from .metrics import LatencyHistogram, log_spaced_buckets
 from .procscorer import ProcessScorerError, ProcessScorerHost
 from .protocol import ProtocolError, RequestParser
@@ -55,9 +56,32 @@ from .registry import ModelRegistry, RegisteredModel
 from .scorer import (DeadlineExceeded, NonFiniteScores, PoolOverloaded,
                      ScorerPool, ScorerStats, concat_batches,
                      latency_percentile)
-from .server import ApiError, ServingServer, serve_from_directory
 from .service import RankingResponse, RankingService, candidate_batch
 from .transport import GatewayCounters, SelectorTransport, ShardedTransport
+
+# The two entry modules load on first use (PEP 562).  ``python -m
+# repro.serving.server`` (or ``.loadgen``) imports this package first; an
+# eager import here would put the entry module in ``sys.modules`` before
+# runpy executes it as ``__main__``, so it would run twice and the process
+# would hold two copies of its classes.
+_LAZY = {
+    "ServingServer": "server",
+    "serve_from_directory": "server",
+    "LoadSummary": "loadgen",
+    "run_chaos": "loadgen",
+    "run_load": "loadgen",
+    "run_sweep": "loadgen",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "save_checkpoint",

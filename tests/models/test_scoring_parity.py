@@ -220,6 +220,24 @@ class TestClassifierParity:
             reference = model(tokens, lengths).data.argmax(axis=1)
         np.testing.assert_array_equal(model.predict_sc(tokens, lengths), reference)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_sc_on_single_queries_matches_tensor_argmax(self, log, taxonomy,
+                                                                dtype):
+        """The serving shape: one query of uniform length per call."""
+        queries = log.queries
+        with nn.default_dtype(dtype):
+            model = QueryCategoryClassifier(
+                queries.vocab_size, taxonomy.max_sc_id() + 1,
+                QueryClassifierConfig(embedding_dim=8, hidden_size=12))
+        for i in range(40):
+            length = int(queries.lengths[i])
+            tokens = queries.tokens[i:i + 1, :length]
+            lengths = queries.lengths[i:i + 1]
+            with nn.no_grad():
+                reference = model(tokens, lengths).data.argmax(axis=1)
+            np.testing.assert_array_equal(model.predict_sc(tokens, lengths),
+                                          reference)
+
     def test_concurrent_predict_sc_is_serialized(self, log, taxonomy):
         """Concurrent intent classification (RankingService.rank callers)
         must not corrupt the shared plan scratch buffers."""

@@ -223,6 +223,96 @@ class TestCompiledRecurrent:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, reference, atol=1e-6)
 
+    @staticmethod
+    def _scan_pair(kind, rng, dtype, packed=True):
+        """A recurrent module and its Tensor-path final state function."""
+        if kind == "bigru":
+            module = nn.BiGRU(5, 7, rng=rng, packed=packed)
+        else:
+            module = nn.GRU(5, 7, rng=rng, reverse=kind == "gru_reverse",
+                            packed=packed)
+        module.astype(dtype)
+
+        def reference(x, lengths):
+            with nn.no_grad():
+                out = module(nn.Tensor(x), lengths=lengths)
+            return (out if kind == "bigru" else out[1]).data
+        return module, reference
+
+    KINDS = ["bigru", "gru", "gru_reverse"]
+    DTYPES = [(np.float64, 1e-12), (np.float32, 1e-6)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype,atol", DTYPES)
+    @pytest.mark.parametrize("lengths", ["none", "full"])
+    def test_uniform_batch_matches_tensor(self, rng, kind, dtype, atol, lengths):
+        module, reference = self._scan_pair(kind, rng, dtype)
+        x = rng.normal(size=(6, 9, 5)).astype(dtype)
+        lens = None if lengths == "none" else np.full(6, 9)
+        out = module.compiled()(x, lengths=lens)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, reference(x, lens), atol=atol)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype,atol", DTYPES)
+    def test_single_query_at_every_length_matches_tensor(self, rng, kind,
+                                                         dtype, atol):
+        """The serving shape: batch 1, uniform length, lengths given."""
+        module, reference = self._scan_pair(kind, rng, dtype)
+        plan = module.compiled()
+        for time in range(1, 9):
+            x = rng.normal(size=(1, time, 5)).astype(dtype)
+            lens = np.array([time])
+            np.testing.assert_allclose(plan(x, lengths=lens),
+                                       reference(x, lens), atol=atol)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype,atol", DTYPES)
+    def test_ragged_masked_scan_matches_tensor(self, rng, kind, dtype, atol):
+        """``packed=False``: the stacked loop masks every direction."""
+        from repro.nn import functional as F
+        module, reference = self._scan_pair(kind, rng, dtype, packed=False)
+        x = rng.normal(size=(6, 9, 5)).astype(dtype)
+        lens = np.array([9, 1, 4, 9, 6, 2])
+        F.reset_packed_scan_counters()
+        out = module.compiled()(x, lengths=lens)
+        assert F.packed_scan_counters["calls"] == 0
+        np.testing.assert_allclose(out, reference(x, lens), atol=atol)
+
+    @pytest.mark.parametrize("kind,directions", [("gru", 1), ("gru_reverse", 1),
+                                                 ("bigru", 2)])
+    def test_uniform_scan_makes_one_sigmoid_call_per_step(self, rng, monkeypatch,
+                                                          kind, directions):
+        module, _ = self._scan_pair(kind, rng, np.float64)
+        plan = module.compiled()
+        calls = []
+        sigmoid = infer._stable_sigmoid
+
+        def counting(x):
+            calls.append(x.shape)
+            return sigmoid(x)
+        monkeypatch.setattr(infer, "_stable_sigmoid", counting)
+        for time in (1, 4, 7):
+            for lengths in (None, np.full(3, time)):
+                calls.clear()
+                plan(rng.normal(size=(3, time, 5)), lengths=lengths)
+                # One call per step, over [r | z] of every direction.
+                assert calls == [(directions, 3, 14)] * time
+
+    @pytest.mark.parametrize("kind,directions", [("gru", 1), ("bigru", 2)])
+    def test_packed_scan_chosen_only_by_a_short_row(self, rng, kind, directions):
+        from repro.nn import functional as F
+        module, reference = self._scan_pair(kind, rng, np.float64)
+        plan = module.compiled()
+        x = rng.normal(size=(4, 6, 5))
+        for lens, packed_calls in (([6, 6, 6, 6], 0), ([9, 7, 6, 8], 0),
+                                   ([6, 6, 5, 6], directions)):
+            F.reset_packed_scan_counters()
+            out = plan(x, lengths=np.array(lens))
+            assert F.packed_scan_counters["calls"] == packed_calls
+            np.testing.assert_allclose(out, reference(x, np.array(lens)),
+                                       atol=1e-12)
+
     def test_gru_cell_step(self, rng):
         cell = nn.GRUCell(4, 6, rng=rng)
         x = rng.normal(size=(3, 4))

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro import nn
 from repro.nn.gradcheck import check_grad
-from repro.nn.tensor import Tensor, _unbroadcast, as_tensor, concatenate, stack
+from repro.nn.tensor import (Tensor, _stable_sigmoid, _unbroadcast, as_tensor,
+                              concatenate, stack)
 
 
 class TestBasics:
@@ -427,6 +428,94 @@ class TestDeepGraph:
         b = t * 4.0
         (a + b).backward()
         np.testing.assert_allclose(t.grad, [7.0])
+
+
+def _two_branch_sigmoid(x):
+    """The earlier two-branch stable sigmoid, kept as the reference."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+                    np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+
+
+class TestStableSigmoid:
+    @pytest.mark.parametrize("dtype,edge", [(np.float32, 80.0), (np.float64, 700.0)])
+    def test_bit_identical_to_two_branch_form(self, dtype, edge):
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, edge, -edge,
+                   1e-30, -1e-30, np.finfo(dtype).tiny, -np.finfo(dtype).tiny,
+                   np.finfo(dtype).max, -np.finfo(dtype).max]
+        x = np.concatenate([np.array(special),
+                            np.linspace(-edge, edge, 4001),
+                            *(rng.normal(scale=s, size=2000) for s in (0.1, 1.0, 10.0, 100.0))]
+                           ).astype(dtype)
+        got = _stable_sigmoid(x)
+        want = _two_branch_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(got[~nan].view(uint), want[~nan].view(uint))
+
+    @pytest.mark.parametrize("dtype,edge", [(np.float32, 80.0), (np.float64, 700.0)])
+    def test_both_tails_keep_relative_precision(self, dtype, edge):
+        x = np.array([-edge, edge], dtype=dtype)
+        out = _stable_sigmoid(x)
+        assert out.dtype == dtype
+        # sigmoid(-a) = exp(-a) / (1 + exp(-a)) ~ exp(-a): tiny but not 0.
+        np.testing.assert_allclose(out[0], np.exp(x[0]), rtol=1e-6)
+        assert out[1] == 1.0
+
+    def test_shape_and_0d_input(self):
+        assert _stable_sigmoid(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+        assert _stable_sigmoid(np.float32(0.0)) == np.float32(0.5)
+
+
+class TestGradientBuffers:
+    def test_add_parents_get_independent_buffers(self):
+        """``__add__`` hands one ``out.grad`` to both parents: each must get
+        its own buffer, and the caller's seed gradient must stay its own."""
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        seed = np.arange(3.0)
+        (a + b).backward(seed)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, seed)
+        a.grad += 10.0
+        np.testing.assert_array_equal(b.grad, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(seed, [0.0, 1.0, 2.0])
+
+    def test_float64_gradient_lands_as_float32(self):
+        leaf = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        weights = Tensor(np.full(3, 0.5))                 # float64
+        (leaf * weights).sum().backward()                 # promotes to f64
+        assert leaf.grad.dtype == np.float32
+        np.testing.assert_array_equal(leaf.grad, [0.5, 0.5, 0.5])
+
+    def test_owned_gradient_of_another_dtype_or_shape_is_copied(self):
+        leaf = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        row = np.ones((1, 3))                             # f64, broadcast
+        leaf._accumulate(row, owned=True)
+        assert leaf.grad.dtype == np.float32 and leaf.grad.shape == (2, 3)
+        assert not np.shares_memory(leaf.grad, row)
+        leaf._accumulate(row, owned=True)                 # later writes add
+        np.testing.assert_array_equal(leaf.grad, np.full((2, 3), 2.0))
+
+    def test_owned_gradient_is_adopted(self):
+        leaf = Tensor(np.zeros(4), requires_grad=True)
+        grad = np.arange(4.0)
+        leaf._accumulate(grad, owned=True)
+        assert leaf.grad is grad
+
+    def test_linear_relu_gradients_accumulate_across_backwards(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        weight = nn.Parameter(rng.normal(size=(4, 3)))
+        bias = nn.Parameter(rng.normal(size=(3,)))
+        nn.functional.linear_relu(x, weight, bias).sum().backward()
+        first = [t.grad.copy() for t in (x, weight, bias)]
+        assert len({id(t.grad) for t in (x, weight, bias)}) == 3
+        nn.functional.linear_relu(x, weight, bias).sum().backward()
+        for t, g in zip((x, weight, bias), first):
+            np.testing.assert_allclose(t.grad, 2.0 * g, rtol=1e-15)
 
 
 class TestGraphRelease:
