@@ -13,7 +13,7 @@ Tracks the two numbers that matter for the production story:
 * **over-the-wire multi-client throughput** — closed-loop clients hammering
   a real :class:`ServingServer` over HTTP, a single-worker pool
   (``num_workers=1``) vs a 4-worker :class:`ScorerPool`.  The pool
-  overlaps the coalescing waits (and, on multi-core BLAS, the scoring) of
+  overlaps the collection (and, on multi-core BLAS, the scoring) of
   concurrent micro-batches; the number to watch is the pool:single
   throughput ratio at batchable load.
 * **connection scaling** — the same closed-loop load at 1 → 256 concurrent
@@ -21,10 +21,6 @@ Tracks the two numbers that matter for the production story:
   hundreds of connections without a thread each, at zero errors.
 * **micro-batch cap policy** — the adaptive backlog-driven cap draining a
   concurrent burst through a 4-worker pool.
-* **int8 quantized plans** — single-request and micro-batch scoring
-  through the quantized compiled plan vs the f32 plan on a tower large
-  enough that f32 weights stream from memory (PR 10: the win is the 4x
-  smaller weight stream, so it is largest at batch 1).
 
 Scale comes from ``REPRO_BENCH_SCALE`` (see conftest); models are built
 untrained — scoring cost does not depend on the weight values.
@@ -88,7 +84,7 @@ def test_single_request_service_rank(benchmark, served):
     tokens = env.log.queries.tokens[0]
     lengths = env.log.queries.lengths[0]
     with RankingService(registry, default_model="ranker", classifier=classifier,
-                        taxonomy=env.taxonomy, max_wait_ms=0.0) as service:
+                        taxonomy=env.taxonomy) as service:
         response = benchmark(service.rank, batch, query_tokens=tokens,
                              query_lengths=lengths, top_k=5)
         benchmark.extra_info["stats"] = str(service.stats())
@@ -104,8 +100,8 @@ def test_microbatched_throughput(benchmark, served):
     _, dataset, model, _ = served
     requests = [dataset.batch(np.arange(i, i + 4)) for i in range(64)]
 
-    with ScorerPool(lambda: model.score, num_workers=1, max_batch_rows=256,
-                    max_wait_ms=2.0) as pool:
+    with ScorerPool(lambda: model.score, num_workers=1,
+                    max_batch_rows=256) as pool:
         def drain():
             futures = [pool.submit(batch) for batch in requests]
             return [future.result() for future in futures]
@@ -216,7 +212,8 @@ def test_http_multiclient_pool4(benchmark, served):
     """4-worker ScorerPool under the same closed-loop multi-client load.
 
     On a single-core host the win over the single worker is the pipeline
-    (the collector's coalescing wait overlaps the other workers' scoring);
+    (the collector's micro-batch assembly overlaps the other workers'
+    scoring);
     the scoring compute itself cannot parallelize without more cores — see
     the ``parallel_scoring`` pair below for that axis.
     """
@@ -413,7 +410,7 @@ def test_http_cache_hit_vs_miss_latency(benchmark, paper_served):
     """Over-the-wire p50 of a cache hit vs a scored (miss) request.
 
     The PR 8 acceptance measurement: a hit skips classification, the
-    scorer pool (and its coalescing wait), and the model entirely —
+    scorer pool, and the model entirely —
     HTTP framing, JSON, one dict lookup, one argsort.  The miss p50 is
     measured off-clock with per-request unique payloads (every request
     scores); the benchmarked drain is 30 repeats of one warm payload
@@ -565,8 +562,8 @@ def test_pool_adaptive_cap(benchmark, served):
     requests = [dataset.batch(np.arange(i % 64, i % 64 + _CAP_ROWS))
                 for i in range(_CAP_REQUESTS)]
     proxy = _ParallelScoringModel(_CAP_DELAY_PER_ROW_S)
-    with ScorerPool(proxy.make_scorer, num_workers=4, max_batch_rows=256,
-                    max_wait_ms=2.0) as pool:
+    with ScorerPool(proxy.make_scorer, num_workers=4,
+                    max_batch_rows=256) as pool:
         def drain():
             with ThreadPoolExecutor(max_workers=_CAP_SUBMITTERS) as executor:
                 futures = list(executor.map(pool.submit, requests))
@@ -612,7 +609,6 @@ def _bench_process_scaling(benchmark, paper_served, directory,
     _, dataset, _ = paper_served
     last = {}
     server = serve_from_directory(directory, port=0, num_workers=2,
-                                  max_wait_ms=0.5,
                                   scorer_processes=scorer_processes)
     try:
         server.start()
@@ -654,84 +650,3 @@ def test_http_process_scaling(benchmark, paper_served, process_gateway_dir,
     _bench_process_scaling(benchmark, paper_served, process_gateway_dir,
                            processes)
 
-
-# ----------------------------------------------------------------------
-# int8 quantized scoring plans vs full-precision f32 (PR 10)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def quantized_tower_pair(scale):
-    """(f32 compiled plan, quantized compiled plan, input width).
-
-    Sized so the f32 weights stream from memory instead of cache at the
-    committed scales: a 147 MB tower (in=768, 3x4096 hidden) overflows any
-    L3, so every single-request score re-reads every weight byte and the
-    int8 plan's 4x smaller stream shows up directly in latency.  At
-    ``ci`` scale the tower shrinks to the paper's 512x256 shape — the
-    quantized lane still runs (the CI gate), it just measures kernel
-    overhead rather than bandwidth.
-    """
-    from repro.nn.quantize import hydrate_quantized, quantize_module
-
-    hidden = [512, 256] if scale.name == "ci" else [4096, 4096, 4096]
-    in_features = 64 if scale.name == "ci" else 768
-    rng = np.random.default_rng(0)
-    with nn.default_dtype(np.float32):
-        source = nn.MLP(in_features, hidden, 1, rng=rng)
-        target = nn.MLP(in_features, hidden, 1, rng=rng)
-    quantized = quantize_module(source)
-    state = {name: param.data.copy()
-             for name, param in source.named_parameters()
-             if name not in quantized}
-    hydrate_quantized(target, state, quantized)
-    return source.compiled(), target.compiled(), in_features
-
-
-def test_quantized_single_request_f32(benchmark, quantized_tower_pair):
-    """Baseline: one request through the full-precision compiled plan.
-    At default scale the 147 MB f32 weight stream dominates — measured
-    ≈20 ms/request, pure memory bandwidth."""
-    plan_f32, _, in_features = quantized_tower_pair
-    x = np.random.default_rng(1).normal(size=(1, in_features)) \
-        .astype(np.float32)
-    out = benchmark(plan_f32, x)
-    assert np.isfinite(out).all()
-
-
-def test_quantized_single_request_int8(benchmark, quantized_tower_pair):
-    """The same request through the int8 plan: weights stream as 1 byte
-    per value + a blocked f32 cast that stays cache-resident.  Measured
-    ≈1.3x the f32 plan at batch 1 on the 147 MB tower (the tentpole's
-    'measurably faster single-request latency' acceptance number)."""
-    plan_f32, plan_int8, in_features = quantized_tower_pair
-    x = np.random.default_rng(1).normal(size=(1, in_features)) \
-        .astype(np.float32)
-    out = benchmark(plan_int8, x)
-    assert np.isfinite(out).all()
-    assert out.shape == plan_f32(x).shape   # parity is pinned in the tests
-
-
-def test_quantized_microbatch_f32(benchmark, quantized_tower_pair):
-    """32-row micro-batch through the f32 plan; rows/s in extra_info."""
-    plan_f32, _, in_features = quantized_tower_pair
-    x = np.random.default_rng(1).normal(size=(32, in_features)) \
-        .astype(np.float32)
-    out = benchmark(plan_f32, x)
-    assert np.isfinite(out).all()
-    if benchmark.stats is not None:       # absent under --benchmark-disable
-        benchmark.extra_info["rows_per_s"] = 32 / benchmark.stats["mean"]
-
-
-def test_quantized_microbatch_int8(benchmark, quantized_tower_pair):
-    """32-row micro-batch through the int8 plan.  The batch amortizes the
-    f32 weight stream over 32 rows while the int8 plan still pays its
-    blocked cast, so the win inverts (measured ≈0.8x at batch 32) —
-    quantization is a single-request-latency optimization; batched lanes
-    should stay f32."""
-    plan_f32, plan_int8, in_features = quantized_tower_pair
-    x = np.random.default_rng(1).normal(size=(32, in_features)) \
-        .astype(np.float32)
-    out = benchmark(plan_int8, x)
-    assert np.isfinite(out).all()
-    assert out.shape == plan_f32(x).shape   # parity is pinned in the tests
-    if benchmark.stats is not None:       # absent under --benchmark-disable
-        benchmark.extra_info["rows_per_s"] = 32 / benchmark.stats["mean"]

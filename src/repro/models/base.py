@@ -189,13 +189,6 @@ class RankingModel(nn.Module):
         use.  ``predict`` is kept as the reference the parity tests compare
         against.
         """
-        if getattr(self, "_quantized_serving", False):
-            # hydrate_quantized leaves NaN placeholders where the Tensor
-            # forward would read weights; fail loudly instead of scoring
-            # garbage.  Quantized models serve through the compiled lane.
-            raise RuntimeError(
-                "model was hydrated from a quantized checkpoint; the Tensor "
-                "reference path has no full-precision weights — use score()")
         with nn.no_grad():
             was_training = self.training
             self.eval()

@@ -46,11 +46,6 @@ Semantics
   direction (the serving mirror of ``gru_sequence_packed``) — each
   timestep only computes the still-valid prefix.  Uniform batches keep
   the stacked masked scan.
-* **int8 quantized lane**: a Linear carrying a
-  :class:`~repro.nn.quantize.QuantizedWeight` (see ``hydrate_quantized``)
-  compiles to the blocked int8→f32 matmul with f32 accumulation instead
-  of the full-precision step; biases, activations, GRU and embedding
-  steps stay float32.
 
 Numerics match the Tensor path operation for operation (same kernels, same
 evaluation order), so compiled scoring is bit-comparable to ``no_grad``
@@ -263,26 +258,15 @@ def compile_module(module: Module, pool: BufferPool | None = None
 # ----------------------------------------------------------------------
 # Layer compilers
 # ----------------------------------------------------------------------
-def _quantized_linear_step(module: Linear, pool: BufferPool,
-                           relu: bool) -> Callable:
-    """int8 plan lane: blocked-cast matmul, f32 accumulation, f32 bias/relu.
-
-    Selected when the Linear carries a
-    :class:`~repro.nn.quantize.QuantizedWeight` (attached by
-    ``hydrate_quantized`` for serving, or transiently during calibration).
-    The cast scratch comes from the plan's buffer pool, so the shared
-    read-only ``QuantizedWeight`` never holds per-call state — one mmap'd
-    int8 tensor safely feeds every scorer worker and process shard.
-    """
+def _linear_step(module: Linear, pool: BufferPool, relu: bool) -> Callable:
+    """matmul + bias, plus the fused kernel's in-place relu when ``relu``."""
     step = pool.reserve()
-    scratch_step = pool.reserve()
-    qw = module.quantized
-    bias = module.bias
+    weight, bias = module.weight, module.bias
 
     def run(x):
-        out = pool.get(step, (x.shape[0], qw.out_features), np.float32)
-        scratch = pool.get(scratch_step, qw.scratch_shape(), np.float32)
-        qw.matmul_into(x, out, scratch)
+        w = weight.data
+        out = pool.get(step, (x.shape[0], w.shape[1]), w.dtype)
+        np.matmul(x, w, out=out)
         if bias is not None:
             out += bias.data
         if relu:
@@ -293,40 +277,7 @@ def _quantized_linear_step(module: Linear, pool: BufferPool,
 
 @register_compiler(Linear)
 def _compile_linear(module: Linear, pool: BufferPool) -> Callable:
-    # The quantized attribute is sampled at compile time (unlike weights,
-    # which are read live): hydration happens before any plan is built and
-    # a hot reload compiles fresh plans for the new model object.
-    if getattr(module, "quantized", None) is not None:
-        return _quantized_linear_step(module, pool, relu=False)
-    step = pool.reserve()
-    weight, bias = module.weight, module.bias
-
-    def run(x):
-        w = weight.data
-        out = pool.get(step, (x.shape[0], w.shape[1]), w.dtype)
-        np.matmul(x, w, out=out)
-        if bias is not None:
-            out += bias.data
-        return out
-    return run
-
-
-def _linear_relu_step(module: Linear, pool: BufferPool) -> Callable:
-    """The fused kernel's forward math: matmul + bias + in-place relu."""
-    if getattr(module, "quantized", None) is not None:
-        return _quantized_linear_step(module, pool, relu=True)
-    step = pool.reserve()
-    weight, bias = module.weight, module.bias
-
-    def run(x):
-        w = weight.data
-        out = pool.get(step, (x.shape[0], w.shape[1]), w.dtype)
-        np.matmul(x, w, out=out)
-        if bias is not None:
-            out += bias.data
-        np.maximum(out, 0.0, out=out)
-        return out
-    return run
+    return _linear_step(module, pool, relu=False)
 
 
 @register_compiler(ReLU)
@@ -384,7 +335,7 @@ def _compile_mlp(module: MLP, pool: BufferPool) -> Callable:
     steps = []
     for kind, sub in module._plan:
         if kind == "linear_relu":
-            steps.append(_linear_relu_step(sub, pool))
+            steps.append(_linear_step(sub, pool, relu=True))
         else:
             steps.append(_compile(sub, pool))
 

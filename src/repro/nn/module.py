@@ -69,9 +69,7 @@ class Module:
         """Yield (qualified_name, module) pairs across the module tree.
 
         Names compose exactly like :meth:`named_parameters`: a parameter
-        ``p`` of the module named ``a.b`` appears there as ``a.b.p`` — the
-        seam the quantizer uses to map quantized tensors back onto
-        ``state_dict`` keys.
+        ``p`` of the module named ``a.b`` appears there as ``a.b.p``.
         """
         yield (prefix, self)
         for name, module in self._modules.items():

@@ -393,7 +393,7 @@ class Tensor:
                         grad_a = g @ np.swapaxes(b, -1, -2)
                     if a.ndim == 1 and grad_a.ndim > 1:
                         grad_a = grad_a.sum(axis=tuple(range(grad_a.ndim - 1)))
-                    self._accumulate(_unbroadcast(grad_a, a.shape))
+                    self._accumulate(_unbroadcast(grad_a, a.shape), owned=True)
                 if other.requires_grad:
                     if a.ndim == 1:
                         grad_b = np.outer(a, g) if b.ndim == 2 else a * g
@@ -401,7 +401,7 @@ class Tensor:
                         grad_b = np.swapaxes(a, -1, -2) @ g
                     if b.ndim == 1 and grad_b.ndim > 1:
                         grad_b = grad_b.sum(axis=tuple(range(grad_b.ndim - 1)))
-                    other._accumulate(_unbroadcast(grad_b, b.shape))
+                    other._accumulate(_unbroadcast(grad_b, b.shape), owned=True)
             out._backward = _backward
         return out
 

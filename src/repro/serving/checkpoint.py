@@ -32,17 +32,12 @@ import numpy as np
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..querycat import QueryCategoryClassifier, QueryClassifierConfig
-from ..nn.quantize import hydrate_quantized
-from ..utils.serialization import (CheckpointCorrupted,
-                                   _split_quantized_arrays,
-                                   atomic_write_bytes, atomic_write_text,
-                                   build_model_from_meta, checksum_file,
-                                   load_checkpoint, load_model,
-                                   load_model_quantized,
-                                   load_quantized_checkpoint, save_checkpoint)
+from ..utils.serialization import (CheckpointCorrupted, atomic_write_bytes,
+                                   atomic_write_text, build_model_from_meta,
+                                   checksum_file, load_checkpoint, load_model,
+                                   save_checkpoint)
 
 __all__ = ["save_checkpoint", "load_checkpoint", "load_model",
-           "load_quantized_checkpoint", "load_model_quantized",
            "build_model_from_meta",
            "save_classifier_checkpoint", "load_classifier_checkpoint",
            "save_environment", "load_environment",
@@ -170,7 +165,7 @@ _WEIGHT_STORE_FORMAT_VERSION = 1
 _WEIGHT_STORE_MANIFEST = "manifest.json"
 
 
-def ensure_weight_store(path: str | Path, quantized: bool = False) -> Path:
+def ensure_weight_store(path: str | Path) -> Path:
     """Extract a checkpoint's parameters into a mmap-able ``.npy`` store.
 
     ``np.load(mmap_mode="r")`` cannot map members of an ``.npz`` archive
@@ -181,13 +176,6 @@ def ensure_weight_store(path: str | Path, quantized: bool = False) -> Path:
     files.  Every scorer process then maps the same files read-only and
     the OS page cache keeps a single physical copy of the weights.
 
-    With ``quantized=True`` the store (``.<name>-<digest>.qweights``) is
-    built from the ``.quant.npz`` artifact instead: the int8 tensors,
-    their scales, and the float32 passthroughs land as separate ``.npy``
-    files under their archive keys (``q:``/``scale:``/``f:``), so process
-    shards share one physical copy of the *quantized* weights and the
-    full-precision archive never gets parsed.
-
     The store is keyed by the source file's content digest, so a
     hot-reloaded checkpoint gets a fresh store and an existing store is
     reused as-is (idempotent).  Creation is atomic: the store is built in
@@ -195,24 +183,15 @@ def ensure_weight_store(path: str | Path, quantized: bool = False) -> Path:
     the rename race simply uses the winner's store.
     """
     path = Path(path)
-    weights_path = path.with_suffix(".quant.npz" if quantized else ".npz")
-    fingerprint = checksum_file(weights_path)
+    fingerprint = checksum_file(path.with_suffix(".npz"))
     digest = fingerprint.split(":", 1)[1][:16]
-    kind = "qweights" if quantized else "weights"
-    store = path.parent / f".{path.name}-{digest}.{kind}"
+    store = path.parent / f".{path.name}-{digest}.weights"
     manifest_path = store / _WEIGHT_STORE_MANIFEST
     if manifest_path.exists():
         return store
     # Verifies the checksum manifest before trusting the bytes — a torn
     # checkpoint must not become a quietly-corrupt weight store.
-    if quantized:
-        passthrough, qdict, _ = load_quantized_checkpoint(path)
-        state = {f"f:{name}": array for name, array in passthrough.items()}
-        for name, qw in qdict.items():
-            state[f"q:{name}"] = qw.q
-            state[f"scale:{name}"] = qw.scales
-    else:
-        state, _ = load_checkpoint(path)
+    state, _ = load_checkpoint(path)
     tmp = Path(tempfile.mkdtemp(dir=path.parent, prefix=f".{path.name}-tmp."))
     try:
         params = {}
@@ -223,7 +202,6 @@ def ensure_weight_store(path: str | Path, quantized: bool = False) -> Path:
         manifest = {
             "format_version": _WEIGHT_STORE_FORMAT_VERSION,
             "kind": "weight_store",
-            "quantized": quantized,
             "fingerprint": fingerprint,
             "params": params,
         }
@@ -250,7 +228,7 @@ def load_shared_state(store: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_model_shared(path: str | Path, spec: FeatureSpec,
-                      taxonomy: Taxonomy, quantized: bool = False):
+                      taxonomy: Taxonomy):
     """Rebuild a checkpointed model with memory-mapped, shared weights.
 
     Functionally equivalent to :func:`load_model` but every parameter is
@@ -258,19 +236,11 @@ def load_model_shared(path: str | Path, spec: FeatureSpec,
     instead of a private copy, so N processes serving the same checkpoint
     hold one physical copy of the parameters.  The result is
     inference-only: the arrays are read-only memmaps.
-
-    With ``quantized=True`` the model hydrates from the quantized store:
-    int8 tensors and float32 passthroughs are mmap'd and attached (see
-    :func:`repro.nn.quantize.hydrate_quantized`), so shards share one
-    physical copy of the *int8* weights — the f32 archive stays on disk.
     """
     path = Path(path)
-    store = ensure_weight_store(path, quantized=quantized)
+    store = ensure_weight_store(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     model = build_model_from_meta(meta, spec, taxonomy)
-    if quantized:
-        state, qdict = _split_quantized_arrays(load_shared_state(store), store)
-        return hydrate_quantized(model, state, qdict)
     model.load_state_dict(load_shared_state(store), copy=False)
     return model
 

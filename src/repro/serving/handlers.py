@@ -83,10 +83,6 @@ class GatewayDispatcher:
         through :meth:`ModelRegistry.reload_from_directory`; ``spec``
         alone additionally enables request validation and the
         ``GET /models`` schema block.
-    quantized:
-        Reload lane: ``POST /reload`` re-scans through the int8
-        ``.quant.npz`` artifacts instead of full-precision weights (a
-        ``--quantized`` gateway must stay quantized across hot reloads).
     connection_stats:
         Zero-argument callable returning the transport's connection
         counter snapshot (see
@@ -116,12 +112,11 @@ class GatewayDispatcher:
                  spec: FeatureSpec | None = None,
                  taxonomy: Taxonomy | None = None,
                  checkpoint_dir: str | Path | None = None,
-                 connection_stats=None, quantized: bool = False):
+                 connection_stats=None):
         self.service = service
         self.spec = spec
         self.taxonomy = taxonomy
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.quantized = bool(quantized)
         self._connection_stats = connection_stats
         self._started_at = time.monotonic()
         self._counter_lock = threading.Lock()
@@ -574,9 +569,6 @@ class GatewayDispatcher:
             ("scorer_process_busy_seconds_total", "counter",
              "Child-measured seconds inside the scoring plan.",
              lambda s: s.process_busy_seconds),
-            ("scorer_quantized", "gauge",
-             "1 when the pool scores through int8 quantized plans.",
-             lambda s: int(s.quantized)),
         ]
         scorer_stats = self.service.stats()
         for name, mtype, help_text, getter in scorer_gauges:
@@ -631,8 +623,7 @@ class GatewayDispatcher:
                            "this gateway was not started from a checkpoint "
                            "directory; nothing to reload")
         registered = self.service.registry.reload_from_directory(
-            self.checkpoint_dir, self.spec, self.taxonomy,
-            quantized=self.quantized)
+            self.checkpoint_dir, self.spec, self.taxonomy)
         return {
             "registered": [{"name": entry.name, "version": entry.version}
                            for entry in registered],

@@ -157,19 +157,16 @@ def decode_scores(payload: memoryview) -> np.ndarray:
 # Child process
 # ----------------------------------------------------------------------
 def _scorer_process_main(conn, checkpoint_base: str, environment_dir: str,
-                         seed: int, version: int, worker_index: int,
-                         quantized: bool = False) -> None:
+                         seed: int, version: int, worker_index: int) -> None:
     """Entry point of one scorer process (must stay module-level for
     spawn-context picklability).
 
-    Hydrates the model from disk (shared weights — the int8 store when
-    ``quantized``), reseeds its RNGs with a per-child spawn key, compiles
-    a scoring plan, then serves frames until a shutdown frame or a closed
-    pipe.
+    Hydrates the model from disk (shared weights), reseeds its RNGs with
+    a per-child spawn key, compiles a scoring plan, then serves frames
+    until a shutdown frame or a closed pipe.
     """
     spec, taxonomy = load_environment(environment_dir)
-    model = load_model_shared(checkpoint_base, spec, taxonomy,
-                              quantized=quantized)
+    model = load_model_shared(checkpoint_base, spec, taxonomy)
     model.eval()
     model.reseed(np.random.SeedSequence(
         entropy=(int(seed), int(version), int(worker_index))))
@@ -246,7 +243,6 @@ class ProcessScorerHost:
 
     def __init__(self, checkpoint_base: str | Path, environment_dir: str | Path,
                  processes: int, seed: int = 0, version: int = 0,
-                 quantized: bool = False,
                  start_method: str | None = None,
                  stats_timeout_s: float = 1.0):
         if processes <= 0:
@@ -255,7 +251,6 @@ class ProcessScorerHost:
         self._environment_dir = str(environment_dir)
         self._seed = int(seed)
         self._version = int(version)
-        self._quantized = bool(quantized)
         self._stats_timeout_s = float(stats_timeout_s)
         # spawn by default: the serving parent is heavily threaded, and
         # fork() of a threaded process inherits locks in arbitrary states.
@@ -285,8 +280,7 @@ class ProcessScorerHost:
         process = self._ctx.Process(
             target=_scorer_process_main,
             args=(child_conn, self._checkpoint_base, self._environment_dir,
-                  self._seed, self._version, channel.index,
-                  self._quantized),
+                  self._seed, self._version, channel.index),
             name=f"repro-scorer-{channel.index}", daemon=True)
         process.start()
         child_conn.close()

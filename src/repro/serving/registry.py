@@ -16,7 +16,7 @@ from pathlib import Path
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from .checkpoint import (ENVIRONMENT_FILENAME, CheckpointCorrupted,
-                         checksum_file, load_model, load_model_quantized)
+                         checksum_file, load_model)
 
 __all__ = ["ModelRegistry", "RegisteredModel"]
 
@@ -87,28 +87,14 @@ class ModelRegistry:
     def register_checkpoint(self, name: str, path: str | Path,
                             spec: FeatureSpec, taxonomy: Taxonomy,
                             version: int | None = None,
-                            metadata: dict | None = None,
-                            quantized: bool = False) -> RegisteredModel:
-        """Load a ranking-model checkpoint and register it.
-
-        With ``quantized=True`` the model hydrates from the checkpoint's
-        int8 artifact (see
-        :func:`repro.utils.serialization.load_model_quantized`) — the
-        full-precision weights are never loaded, and the entry's metadata
-        records ``quantized: True`` so the scorer stats and the process
-        hosts follow the same lane.
-        """
-        if quantized:
-            model = load_model_quantized(path, spec, taxonomy)
-        else:
-            model = load_model(path, spec, taxonomy)
-        metadata = {"checkpoint": str(path), "quantized": bool(quantized),
-                    **(metadata or {})}
+                            metadata: dict | None = None) -> RegisteredModel:
+        """Load a ranking-model checkpoint and register it."""
+        model = load_model(path, spec, taxonomy)
+        metadata = {"checkpoint": str(path), **(metadata or {})}
         return self.register(name, model, version=version, metadata=metadata)
 
     def reload_from_directory(self, directory: str | Path, spec: FeatureSpec,
-                              taxonomy: Taxonomy,
-                              quantized: bool = False) -> list[RegisteredModel]:
+                              taxonomy: Taxonomy) -> list[RegisteredModel]:
         """Scan a checkpoint directory; register new or changed checkpoints.
 
         Every ``<name>.json`` + ``<name>.npz`` sidecar/weights pair is a
@@ -128,13 +114,6 @@ class ModelRegistry:
         unchanged) and the registry keeps serving whatever version of
         that name is already live — a torn write can never evict a good
         model.  Returns the newly registered entries.
-
-        With ``quantized=True`` every checkpoint registers through its
-        int8 artifact: the content fingerprint is the ``.quant.npz``
-        checksum (so a torn quantized rewrite is detected exactly like a
-        torn weights rewrite), and a checkpoint *without* a quantized
-        artifact is quarantined — a ``--quantized`` gateway must never
-        silently fall back to full-precision weights.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -154,26 +133,11 @@ class ModelRegistry:
                 if not weights_path.exists():
                     continue                  # half-written checkpoint
                 name = meta_path.stem
-                source_path = weights_path
-                if quantized:
-                    source_path = meta_path.with_suffix(".quant.npz")
-                    if not source_path.exists():
-                        fingerprint = checksum_file(weights_path)
-                        bad = self._quarantined.get(name)
-                        if bad is None or bad.get("fingerprint") != fingerprint:
-                            self._quarantined[name] = {
-                                "path": str(source_path),
-                                "fingerprint": fingerprint,
-                                "reason": "quantized serving requires a "
-                                          ".quant.npz artifact (save with "
-                                          "quantize=True)",
-                            }
-                        continue
-                # Content fingerprint: the served artifact's checksum.
-                # Hashing on every poll costs one file read per checkpoint
-                # — cheap next to model rebuild, and the only fingerprint
-                # that cannot be fooled by a same-size in-place rewrite.
-                fingerprint = checksum_file(source_path)
+                # Content fingerprint: the weights checksum.  Hashing on
+                # every poll costs one file read per checkpoint — cheap
+                # next to model rebuild, and the only fingerprint that
+                # cannot be fooled by a same-size in-place rewrite.
+                fingerprint = checksum_file(weights_path)
                 bad = self._quarantined.get(name)
                 if bad is not None and bad.get("fingerprint") == fingerprint:
                     continue                  # known-corrupt bytes, unchanged
@@ -188,8 +152,7 @@ class ModelRegistry:
                 try:
                     entry = self.register_checkpoint(
                         name, meta_path.with_suffix(""), spec, taxonomy,
-                        metadata={"fingerprint": fingerprint},
-                        quantized=quantized)
+                        metadata={"fingerprint": fingerprint})
                 except Exception as error:
                     # CheckpointCorrupted (checksum mismatch, torn
                     # archive) and any other load failure (shape errors
@@ -198,7 +161,7 @@ class ModelRegistry:
                     # version (if any) keeps serving and the poll loop
                     # survives.
                     self._quarantined[name] = {
-                        "path": str(source_path),
+                        "path": str(weights_path),
                         "fingerprint": fingerprint,
                         "reason": f"{type(error).__name__}: {error}",
                     }

@@ -18,9 +18,9 @@ against scoring: a collector token lets exactly one worker assemble a
 micro-batch at a time (racing collectors would shred the queue into
 fragment batches and give up the amortization that justifies
 micro-batching), while the workers *holding finished batches* score
-concurrently.  One worker's coalescing wait therefore overlaps the
-others' scoring even on one core, and on multi-core BLAS the scoring
-itself parallelizes too.
+concurrently.  One worker's collection therefore overlaps the others'
+scoring even on one core, and on multi-core BLAS the scoring itself
+parallelizes too.
 
 The micro-batch cap is **adaptive**: recomputed at collect time as
 ``clamp(ceil(backlog_rows / workers), min_batch_rows, max_batch_rows)``,
@@ -171,9 +171,6 @@ class ScorerStats:
     processes: int = 0                  # scorer processes behind this pool
     process_restarts: int = 0           # dead scorer processes respawned
     process_busy_seconds: float = 0.0   # child-measured time inside the plan
-    # Plan lane: True when this pool scores through int8 quantized plans
-    # (the model hydrated from a .quant.npz artifact).
-    quantized: bool = False
 
     @property
     def mean_batch_rows(self) -> float:
@@ -304,15 +301,14 @@ class _Worker:
                 return
 
     def _collect(self, first: _Request, pending: list[_Request]) -> bool:
-        """Gather requests up to the row/wait budget into ``pending``;
+        """Gather queued requests up to the row cap into ``pending``;
         True means shut down.
 
         The row cap is re-read from the pool every iteration: it tracks
         the live backlog, so a queue that backs up mid-collect widens
-        this very batch instead of the next one.  With nothing queued the
-        worker scores what it holds at once: waiting out ``max_wait_ms``
-        for a straggler would only delay a lone request smaller than
-        ``min_batch_rows``.
+        this very batch instead of the next one.  The worker never waits
+        for a straggler: with nothing queued it scores what it holds at
+        once, even a lone request smaller than ``min_batch_rows``.
 
         Deadline enforcement lives here: an entry whose deadline already
         passed is dropped — its future fails with
@@ -322,16 +318,9 @@ class _Worker:
         fail whatever was gathered if this thread dies mid-collect.
         """
         rows = self._admit(first, pending)
-        if not pending and self._pool._queue.empty():
-            return False            # lone expired entry: nothing to wait for
-        deadline = time.monotonic() + self._pool._max_wait
         while rows < self._pool._collect_cap(rows):
-            if self._pool._queue.empty():
-                break
-            remaining = deadline - time.monotonic()
             try:
-                item = self._pool._queue.get(block=remaining > 0,
-                                             timeout=max(remaining, 0))
+                item = self._pool._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
@@ -431,8 +420,8 @@ class ScorerPool:
     num_workers:
         Worker thread count.  While one worker (the collector) assembles
         the next micro-batch, the others score the batches they already
-        hold — so the coalescing wait pipelines with scoring, and on
-        multi-core BLAS the scoring itself parallelizes.
+        hold — so collection pipelines with scoring, and on multi-core
+        BLAS the scoring itself parallelizes.
     max_batch_rows:
         Upper clamp of the micro-batch cap, which is recomputed at
         collect time as ``clamp(ceil(backlog_rows / workers),
@@ -440,11 +429,6 @@ class ScorerPool:
         batches immediately (latency), a backed-up pool splits its
         backlog into per-worker shares (throughput), and no
         per-deployment ``max_batch_rows`` tuning is needed.
-    max_wait_ms:
-        Coalescing budget counted from a worker's first request.  A
-        worker never waits on an empty queue (see
-        :meth:`_Worker._collect`), so under the adaptive cap this budget
-        delays no batch.
     min_batch_rows:
         Lower clamp on the cap: while requests are queued, a worker keeps
         taking them until it holds this many rows.  With nothing queued
@@ -476,7 +460,7 @@ class ScorerPool:
     """
 
     def __init__(self, scorer_factory, num_workers: int = 4,
-                 max_batch_rows: int = 256, max_wait_ms: float = 2.0,
+                 max_batch_rows: int = 256,
                  name: str = "pool", min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  fault_injector=None):
@@ -484,15 +468,12 @@ class ScorerPool:
             raise ValueError("num_workers must be positive")
         if max_batch_rows <= 0:
             raise ValueError("max_batch_rows must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if min_batch_rows <= 0:
             raise ValueError("min_batch_rows must be positive")
         if max_backlog_rows is not None and max_backlog_rows <= 0:
             raise ValueError("max_backlog_rows must be positive (or None)")
         self.name = name
         self._max_batch_rows = int(max_batch_rows)
-        self._max_wait = max_wait_ms / 1000.0
         self._min_batch_rows = min(int(min_batch_rows), self._max_batch_rows)
         self._max_backlog_rows = (int(max_backlog_rows)
                                   if max_backlog_rows is not None else None)
@@ -706,10 +687,9 @@ class ScorerPool:
         share, so temporal skew in arrivals evens out (measured ≈25%
         faster than idle-count division on the cap-policy bench).
 
-        With no backlog the cap collapses to ``min_batch_rows``, so an
-        idle pool never sits on ``max_wait_ms`` hoping to fill a maximal
-        batch; ``_collect`` also stops at an empty queue, so a lone
-        request below ``min_batch_rows`` is scored at once too.
+        With no backlog the cap collapses to ``min_batch_rows``; ``_collect``
+        stops at an empty queue anyway, so a lone request below
+        ``min_batch_rows`` is scored at once.
         """
         with self._state_lock:
             backlog = self._backlog_rows

@@ -116,10 +116,6 @@ class ServingServer:
         port (``SO_REUSEPORT`` siblings, or one ``dup()``-shared acceptor
         where unavailable).  All shards drive
         one dispatcher/registry, so hot reload stays atomic across them.
-    quantized:
-        Serve int8 quantized plans: ``POST /reload`` re-scans the
-        checkpoint directory through the ``.quant.npz`` artifacts, so a
-        quantized gateway stays quantized across hot reloads.
 
     The constructor binds the socket but does not serve: call
     :meth:`start` (background thread) or :meth:`serve_forever`.
@@ -134,20 +130,17 @@ class ServingServer:
                  max_header_bytes: int = MAX_HEADER_BYTES,
                  dispatch_workers: int = 8,
                  drain_deadline_s: float = 10.0,
-                 gateway_shards: int = 1,
-                 quantized: bool = False):
+                 gateway_shards: int = 1):
         self.service = service
         self.gateway_shards = gateway_shards
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.spec = spec
         self.taxonomy = taxonomy
-        self.quantized = bool(quantized)
         self.counters = GatewayCounters()
         self.dispatcher = GatewayDispatcher(
             service, spec=spec, taxonomy=taxonomy,
             checkpoint_dir=checkpoint_dir,
-            connection_stats=self.counters.snapshot,
-            quantized=quantized)
+            connection_stats=self.counters.snapshot)
         self._transport = create_transport(
             host, port, self.dispatcher, counters=self.counters,
             idle_timeout_s=idle_timeout_s, max_body_bytes=max_body_bytes,
@@ -251,7 +244,7 @@ class ServingServer:
 # ----------------------------------------------------------------------
 def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          port: int = 0, num_workers: int = 4,
-                         max_batch_rows: int = 256, max_wait_ms: float = 2.0,
+                         max_batch_rows: int = 256,
                          default_model: str | None = None,
                          min_batch_rows: int = 8,
                          idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
@@ -264,8 +257,8 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          cache_ttl_s: float = 30.0,
                          scorer_processes: int = 0,
                          gateway_shards: int = 1,
-                         process_start_method: str | None = None,
-                         quantized: bool = False) -> ServingServer:
+                         process_start_method: str | None = None
+                         ) -> ServingServer:
     """Build a ready-to-start gateway from a checkpoint directory.
 
     Reads the ``environment.json`` bundle, registers every ranking
@@ -301,24 +294,14 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
     models since the pool runs one proxy thread per process.
     ``gateway_shards`` > 1 runs that many selector loops accepting on
     one port via ``SO_REUSEPORT``.
-
-    ``quantized`` hydrates every ranking checkpoint from its int8
-    ``.quant.npz`` artifact (per-output-channel symmetric weights, f32
-    scales and accumulation — see :mod:`repro.nn.quantize`) instead of
-    the full-precision weights, which are never loaded; a checkpoint
-    without a quantized artifact is quarantined, never silently served
-    at full precision.  Composes with ``scorer_processes``: worker
-    processes mmap one shared copy of the int8 tensors.
     """
     checkpoint_dir = Path(checkpoint_dir)
     spec, taxonomy = load_environment(checkpoint_dir)
     registry = ModelRegistry()
-    registered = registry.reload_from_directory(checkpoint_dir, spec, taxonomy,
-                                                quantized=quantized)
+    registered = registry.reload_from_directory(checkpoint_dir, spec, taxonomy)
     if not registered:
-        detail = (" with .quant.npz artifacts" if quantized else "")
         raise FileNotFoundError(
-            f"no ranking-model checkpoints{detail} found in {checkpoint_dir}")
+            f"no ranking-model checkpoints found in {checkpoint_dir}")
     classifier = None
     classifier_path = find_classifier_checkpoint(checkpoint_dir)
     if classifier_path is not None:
@@ -330,7 +313,7 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
     service = RankingService(registry, default_model=default_model,
                              classifier=classifier, taxonomy=taxonomy,
                              max_batch_rows=max_batch_rows,
-                             max_wait_ms=max_wait_ms, num_workers=num_workers,
+                             num_workers=num_workers,
                              min_batch_rows=min_batch_rows,
                              max_backlog_rows=max_backlog_rows,
                              breaker_config=breaker_config or BreakerConfig(),
@@ -348,8 +331,7 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          idle_timeout_s=idle_timeout_s,
                          dispatch_workers=dispatch_workers,
                          drain_deadline_s=drain_deadline_s,
-                         gateway_shards=gateway_shards,
-                         quantized=quantized)
+                         gateway_shards=gateway_shards)
 
 
 def _bootstrap_demo(checkpoint_dir: Path) -> None:
@@ -369,8 +351,7 @@ def _bootstrap_demo(checkpoint_dir: Path) -> None:
                              save_environment)
 
     env = build_environment(CI)
-    # Build at the scale's dtype (float32), matching train_and_eval — int8
-    # quantization below requires float32 parameters.
+    # Build at the scale's dtype (float32), matching train_and_eval.
     with nn.default_dtype(CI.np_dtype):
         model = build_model("adv-hsc-moe", env.dataset.spec, env.taxonomy,
                             model_config(CI), train_dataset=env.train)
@@ -378,14 +359,7 @@ def _bootstrap_demo(checkpoint_dir: Path) -> None:
             env.log.queries.vocab_size, env.taxonomy.max_sc_id() + 1,
             QueryClassifierConfig(embedding_dim=8, hidden_size=12))
     save_environment(checkpoint_dir, env.dataset.spec, env.taxonomy)
-    # quantize=True also writes the int8 .quant.npz sidecar (calibrated
-    # on a held-out batch), so the same demo directory boots both a
-    # full-precision gateway and a --quantized one (the CI parity gate
-    # serves both from one bootstrap).
-    save_checkpoint(model, checkpoint_dir / "ranker", "adv-hsc-moe",
-                    quantize=True,
-                    calibration_batch=next(
-                        env.train.iter_batches(256, shuffle=False)))
+    save_checkpoint(model, checkpoint_dir / "ranker", "adv-hsc-moe")
     save_classifier_checkpoint(classifier, checkpoint_dir / "querycat")
 
 
@@ -417,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
                              "micro-batch row cap")
     parser.add_argument("--min-batch-rows", type=int, default=8,
                         help="lower clamp of the adaptive micro-batch cap")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--idle-timeout", type=float,
                         default=DEFAULT_IDLE_TIMEOUT_S,
                         help="close keep-alive connections idle this many "
@@ -450,13 +423,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-ttl-s", type=float, default=30.0,
                         help="result cache entry time-to-live in seconds "
                              "(0 disables the cache)")
-    parser.add_argument("--quantized", action="store_true",
-                        help="serve int8 quantized plans: hydrate every "
-                             "ranking checkpoint from its .quant.npz "
-                             "artifact (per-channel symmetric int8 weights, "
-                             "f32 scales/accumulation) without loading the "
-                             "full-precision weights; checkpoints lacking "
-                             "the artifact are quarantined")
     parser.add_argument("--enable-fault-injection", action="store_true",
                         help="route POST /faults to a live fault injector "
                              "(chaos testing only — injects scoring errors, "
@@ -478,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     server = serve_from_directory(
         checkpoint_dir, host=args.host, port=args.port,
         num_workers=args.workers, max_batch_rows=args.max_batch_rows,
-        max_wait_ms=args.max_wait_ms, default_model=args.default_model,
+        default_model=args.default_model,
         min_batch_rows=args.min_batch_rows,
         idle_timeout_s=args.idle_timeout,
         dispatch_workers=args.dispatch_workers,
@@ -493,8 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_entries=args.cache_entries,
         cache_ttl_s=args.cache_ttl_s,
         scorer_processes=args.scorer_processes,
-        gateway_shards=args.gateway_shards,
-        quantized=args.quantized)
+        gateway_shards=args.gateway_shards)
     server.install_signal_handlers()
     names = ", ".join(server.service.registry.names())
     backlog = (f"shed past {args.max_backlog_rows} backlog rows"
@@ -503,7 +468,6 @@ def main(argv: list[str] | None = None) -> int:
              f"{args.cache_ttl_s:g}s TTL"
              if args.cache_entries > 0 and args.cache_ttl_s > 0
              else "result cache off")
-    quant = ", int8 quantized plans" if args.quantized else ""
     faults = ", FAULT INJECTION ENABLED" if args.enable_fault_injection else ""
     scale = ""
     if args.scorer_processes > 0:
@@ -512,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         scale += f", {args.gateway_shards} gateway shards"
     print(f"serving {names} on {server.url} "
           f"({args.workers} scoring workers{scale}, adaptive "
-          f"≤{args.max_batch_rows} batch cap, {backlog}, {cache}{quant}, "
+          f"≤{args.max_batch_rows} batch cap, {backlog}, {cache}, "
           f"breaker opens at {args.breaker_threshold:g} failure ratio{faults}; "
           f"GET /metrics for Prometheus, POST /reload to hot-reload)")
     try:

@@ -88,7 +88,7 @@ class RankingService:
     routing:
         ``top-category id → model name`` rules for category-dedicated
         models.
-    max_batch_rows / min_batch_rows / max_wait_ms:
+    max_batch_rows / min_batch_rows:
         Micro-batching knobs handed to each model's :class:`ScorerPool`,
         whose adaptive cap is recomputed from the live backlog at collect
         time, with ``max_batch_rows`` as the upper and ``min_batch_rows``
@@ -96,7 +96,7 @@ class RankingService:
     num_workers:
         Scoring workers per model (default 1); more workers score a
         model's micro-batches concurrently, each on its own compiled plan
-        (``model.make_scorer()``), overlapping their coalescing waits.
+        (``model.make_scorer()``), overlapping collection with scoring.
     max_backlog_rows:
         Per-pool admission bound, in rows.  A submission that would push
         a pool's backlog past this raises
@@ -157,7 +157,7 @@ class RankingService:
                  classifier: QueryCategoryClassifier | None = None,
                  taxonomy: Taxonomy | None = None,
                  routing: dict[int, str] | None = None,
-                 max_batch_rows: int = 256, max_wait_ms: float = 2.0,
+                 max_batch_rows: int = 256,
                  num_workers: int = 1, min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  breaker_config: BreakerConfig | None = None,
@@ -180,7 +180,6 @@ class RankingService:
         self.spec = spec
         self.fault_injector = fault_injector
         self._max_batch_rows = max_batch_rows
-        self._max_wait_ms = max_wait_ms
         self._num_workers = num_workers
         self._min_batch_rows = min_batch_rows
         self._max_backlog_rows = max_backlog_rows
@@ -293,7 +292,6 @@ class RankingService:
             checkpoint, self._environment_dir,
             processes=self._scorer_processes,
             version=entry.version,
-            quantized=bool((entry.metadata or {}).get("quantized")),
             start_method=self._process_start_method)
 
     def _scorer_for(self, name: str, version: int | None) -> tuple[ScorerPool, int]:
@@ -322,7 +320,6 @@ class RankingService:
                 scorer = ScorerPool(factory,
                                     num_workers=num_workers,
                                     max_batch_rows=self._max_batch_rows,
-                                    max_wait_ms=self._max_wait_ms,
                                     name=f"{entry.name}-v{entry.version}",
                                     min_batch_rows=self._min_batch_rows,
                                     max_backlog_rows=self._max_backlog_rows,
@@ -552,12 +549,6 @@ class RankingService:
                 stats.processes = aggregate["processes"]
                 stats.process_restarts = aggregate["process_restarts"]
                 stats.process_busy_seconds = aggregate["busy_seconds"]
-            try:
-                entry = self.registry.entry(name, version)
-            except KeyError:
-                entry = None
-            stats.quantized = bool(entry is not None
-                                   and (entry.metadata or {}).get("quantized"))
             result[f"{name}:v{version}"] = stats
         return result
 

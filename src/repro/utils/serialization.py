@@ -34,19 +34,19 @@ from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..models import ModelConfig, build_model
 from ..models.base import RankingModel
-from ..nn.quantize import (QuantizedWeight, hydrate_quantized,
-                           quantizable_weights, quantize_module)
 
 __all__ = ["CheckpointCorrupted", "atomic_write_bytes", "atomic_write_text",
            "checksum_file", "save_checkpoint", "load_checkpoint",
-           "load_quantized_checkpoint", "build_model_from_meta",
-           "load_model", "load_model_quantized"]
+           "build_model_from_meta", "load_model"]
 
 _FORMAT_VERSION = 1
 
-# Checksum-manifest entry -> the artifact suffix it covers.  Every sidecar
-# a checkpoint writes must appear here so load-time verification covers the
-# complete artifact set, not just the weights archive.
+# Checksum-manifest entry -> the artifact suffix it covers.  Every artifact
+# a checkpoint declares must appear here so load-time verification covers
+# the complete artifact set, not just the weights archive.  Checkpoints
+# written before int8 serving was removed (every ``--bootstrap-demo``
+# directory among them) also declare the int8 sidecar
+# (``save_checkpoint(quantize=True)``): it is verified, never read.
 _ARTIFACT_SUFFIXES = {"weights": ".npz", "quantized": ".quant.npz"}
 
 
@@ -106,9 +106,7 @@ def _checksum_bytes(data: bytes) -> str:
 
 
 def save_checkpoint(model: RankingModel, path: str | Path,
-                    model_name: str, extra: dict | None = None,
-                    quantize: bool = False,
-                    calibration_batch=None) -> Path:
+                    model_name: str, extra: dict | None = None) -> Path:
     """Persist a model to ``<path>.npz`` + ``<path>.json``.
 
     Returns the weights path.  ``extra`` (JSON-serializable) is stored in
@@ -117,16 +115,6 @@ def save_checkpoint(model: RankingModel, path: str | Path,
     the module docstring); the artifacts land before the sidecar
     referencing them, so a crash between the writes leaves a
     stale-but-consistent set.
-
-    With ``quantize=True`` a third artifact ``<path>.quant.npz`` is
-    written: per-output-channel symmetric int8 tensors + float32 scales
-    for every eligible Linear weight (see :mod:`repro.nn.quantize`) and
-    float32 passthroughs for the rest, enough to serve without the
-    full-precision archive resident.  ``calibration_batch`` (a held-out
-    :class:`~repro.data.dataset.Batch`) is then scored through both the
-    f32 and the quantized compiled plans and the achieved max score delta
-    is recorded in the sidecar's ``quantization.calibration`` block — the
-    number the serving gate pins against.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -142,32 +130,6 @@ def save_checkpoint(model: RankingModel, path: str | Path,
     atomic_write_bytes(weights_path, weights_bytes)
     checksum = {"weights": _checksum_bytes(weights_bytes)}
 
-    quantization = None
-    if quantize:
-        quantized = quantize_module(model)
-        if not quantized:
-            raise ValueError("model has no quantizable Linear weights")
-        arrays: dict[str, np.ndarray] = {}
-        for name, array in state.items():
-            if name in quantized:
-                arrays[f"q:{name}"] = quantized[name].q
-                arrays[f"scale:{name}"] = quantized[name].scales
-            else:
-                arrays[f"f:{name}"] = array
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        quant_bytes = buffer.getvalue()
-        atomic_write_bytes(path.with_suffix(".quant.npz"), quant_bytes)
-        checksum["quantized"] = _checksum_bytes(quant_bytes)
-        quantization = {
-            "scheme": "per-channel-symmetric-int8",
-            "params": sorted(quantized),
-            "nbytes": int(sum(qw.nbytes for qw in quantized.values())),
-        }
-        if calibration_batch is not None:
-            quantization["calibration"] = _calibrate_quantized(
-                model, quantized, calibration_batch)
-
     config = getattr(model, "config", None)
     if not isinstance(config, ModelConfig):
         raise TypeError("model has no ModelConfig; cannot serialize architecture")
@@ -182,8 +144,6 @@ def save_checkpoint(model: RankingModel, path: str | Path,
         "extra": extra or {},
         "checksum": checksum,
     }
-    if quantization is not None:
-        meta["quantization"] = quantization
     # MMoE's task routing lives outside the parameter arrays; persist it so
     # the rebuilt model routes examples identically.
     buckets = getattr(model, "bucket_assignment", None)
@@ -194,43 +154,13 @@ def save_checkpoint(model: RankingModel, path: str | Path,
     return weights_path
 
 
-def _calibrate_quantized(model: RankingModel,
-                         quantized: dict[str, QuantizedWeight],
-                         batch) -> dict:
-    """Measure the quantized plans' score error on a held-out batch.
-
-    Scores the batch through a fresh f32 compiled plan, then transiently
-    attaches the quantized tensors (the compilers prefer them; the f32
-    weights stay resident and untouched) and scores through a fresh
-    quantized plan.  The attachment is removed before returning, so plans
-    built afterwards are full-precision again.
-    """
-    reference = np.asarray(model.make_scorer()(batch), dtype=np.float64)
-    linears = quantizable_weights(model)
-    try:
-        for name, qw in quantized.items():
-            linears[name].quantized = qw
-        scores = np.asarray(model.make_scorer()(batch), dtype=np.float64)
-    finally:
-        for name in quantized:
-            if hasattr(linears[name], "quantized"):
-                del linears[name].quantized
-    delta = np.abs(scores - reference)
-    return {"rows": int(len(reference)),
-            "max_abs_score_delta": float(delta.max()) if delta.size else 0.0,
-            "mean_abs_score_delta": float(delta.mean()) if delta.size else 0.0}
-
-
 def _verify_artifacts(path: Path, meta: dict) -> None:
     """Verify every artifact the sidecar's checksum manifest declares.
 
-    Historically only the weights ``.npz`` was checked, so a torn sidecar
-    artifact (e.g. the quantized tensors) would pass verification and
-    surface later as garbage.  Now each manifest entry maps to its file
-    (:data:`_ARTIFACT_SUFFIXES`): a missing file, a digest mismatch, or an
-    entry this code doesn't know how to locate all raise
-    :class:`CheckpointCorrupted` so hot-reloaders quarantine instead of
-    serving a partially-verified checkpoint.
+    Each manifest entry maps to its file (:data:`_ARTIFACT_SUFFIXES`): a
+    missing file, a digest mismatch, or an entry this code doesn't know
+    how to locate all raise :class:`CheckpointCorrupted` so hot-reloaders
+    quarantine instead of serving a partially-verified checkpoint.
     """
     for key, declared in (meta.get("checksum") or {}).items():
         suffix = _ARTIFACT_SUFFIXES.get(key)
@@ -275,72 +205,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         # loader bug: surface it as such so reloaders can quarantine.
         raise CheckpointCorrupted(weights_path, f"unreadable archive: {error}")
     return state, meta
-
-
-def load_quantized_checkpoint(path: str | Path) -> tuple[
-        dict[str, np.ndarray], dict[str, QuantizedWeight], dict]:
-    """Load ``(passthrough state, quantized tensors, metadata)``.
-
-    Reads only the sidecar and the ``.quant.npz`` artifact into memory —
-    the full-precision archive is verified (streamed checksum) but never
-    parsed, so serving a quantized checkpoint keeps the f32 weights off
-    the heap.  Raises :class:`CheckpointCorrupted` on any manifest
-    mismatch and :class:`FileNotFoundError`/:class:`ValueError` when the
-    checkpoint has no quantized artifact.
-    """
-    path = Path(path)
-    quant_path = path.with_suffix(".quant.npz")
-    meta_path = path.with_suffix(".json")
-    if not meta_path.exists():
-        raise FileNotFoundError(f"checkpoint incomplete at {path}")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
-    if "quantization" not in meta:
-        raise ValueError(f"checkpoint {path} was saved without quantize=True")
-    _verify_artifacts(path, meta)
-    try:
-        with np.load(quant_path) as archive:
-            arrays = {key: archive[key].copy() for key in archive.files}
-    except Exception as error:
-        raise CheckpointCorrupted(quant_path, f"unreadable archive: {error}")
-    return _split_quantized_arrays(arrays, quant_path) + (meta,)
-
-
-def _split_quantized_arrays(arrays: dict[str, np.ndarray], origin) -> tuple[
-        dict[str, np.ndarray], dict[str, QuantizedWeight]]:
-    """Partition ``q:``/``scale:``/``f:`` archive keys into the hydration
-    inputs.  Shared by the npz loader above and the mmap'd weight store
-    (:func:`repro.serving.checkpoint.load_shared_state`)."""
-    state: dict[str, np.ndarray] = {}
-    pending_q: dict[str, np.ndarray] = {}
-    pending_scale: dict[str, np.ndarray] = {}
-    for key, array in arrays.items():
-        tag, _, name = key.partition(":")
-        if not name or tag not in ("q", "scale", "f"):
-            raise CheckpointCorrupted(origin, f"unrecognized array key {key!r}")
-        {"q": pending_q, "scale": pending_scale, "f": state}[tag][name] = array
-    if set(pending_q) != set(pending_scale):
-        raise CheckpointCorrupted(
-            origin, "quantized tensors and scales do not pair up")
-    quantized = {name: QuantizedWeight(pending_q[name], pending_scale[name])
-                 for name in pending_q}
-    return state, quantized
-
-
-def load_model_quantized(path: str | Path, spec: FeatureSpec,
-                         taxonomy: Taxonomy, train_dataset=None) -> RankingModel:
-    """Rebuild a model from a quantized checkpoint, int8 weights attached.
-
-    The result is inference-only (see
-    :func:`repro.nn.quantize.hydrate_quantized`): compiled plans run the
-    quantized Linear lane, ``predict`` raises, and the f32 weights are
-    never loaded.
-    """
-    state, quantized, meta = load_quantized_checkpoint(path)
-    model = build_model_from_meta(meta, spec, taxonomy,
-                                  train_dataset=train_dataset)
-    return hydrate_quantized(model, state, quantized)
 
 
 def build_model_from_meta(meta: dict, spec: FeatureSpec, taxonomy: Taxonomy,

@@ -505,6 +505,41 @@ class TestGradientBuffers:
         leaf._accumulate(grad, owned=True)
         assert leaf.grad is grad
 
+    @staticmethod
+    def _spy_first_gradients(monkeypatch) -> dict:
+        """Record the first array each tensor's ``_accumulate`` receives."""
+        first = {}
+        accumulate = Tensor._accumulate
+
+        def spy(self, grad, owned=False):
+            first.setdefault(id(self), grad)
+            accumulate(self, grad, owned=owned)
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        return first
+
+    def test_matmul_gradients_are_adopted(self, monkeypatch):
+        """matmul's backward allocates a fresh gradient for each parent;
+        each becomes that parent's buffer instead of being copied."""
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        first = self._spy_first_gradients(monkeypatch)
+        seed = rng.normal(size=(5, 3))
+        (a @ b).backward(seed)
+        assert a.grad is first[id(a)] and b.grad is first[id(b)]
+        np.testing.assert_allclose(a.grad, seed @ b.data.T, rtol=1e-14)
+        np.testing.assert_allclose(b.grad, a.data.T @ seed, rtol=1e-14)
+
+    def test_matmul_with_itself_sums_both_gradients(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        first = self._spy_first_gradients(monkeypatch)
+        seed = rng.normal(size=(3, 3))
+        (x @ x).backward(seed)
+        assert x.grad is first[id(x)]       # the second was added into it
+        np.testing.assert_allclose(x.grad, seed @ x.data.T + x.data.T @ seed,
+                                   rtol=1e-14)
+
     def test_linear_relu_gradients_accumulate_across_backwards(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)

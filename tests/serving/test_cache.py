@@ -175,7 +175,7 @@ def batch(dataset):
 
 
 def _cached_service(registry, **kwargs):
-    return RankingService(registry, max_wait_ms=0.0,
+    return RankingService(registry,
                           result_cache=ResultCache(max_entries=64,
                                                    ttl_s=None),
                           **kwargs)
@@ -245,7 +245,7 @@ class TestServiceCaching:
         registry = ModelRegistry()
         registry.register("m", _Bomb())
         with RankingService(
-                registry, default_model="m", max_wait_ms=0.0,
+                registry, default_model="m",
                 result_cache=ResultCache(max_entries=64, ttl_s=None),
                 breaker_config=BreakerConfig(window_s=10.0,
                                              failure_threshold=0.5,
@@ -282,8 +282,7 @@ class TestServiceCaching:
     def test_uncached_service_never_marks_cached(self, model, batch):
         registry = ModelRegistry()
         registry.register("ranker", model)
-        with RankingService(registry, default_model="ranker",
-                            max_wait_ms=0.0) as service:
+        with RankingService(registry, default_model="ranker") as service:
             assert service.rank(batch).cached is False
             assert service.rank(batch).cached is False
             assert service.result_cache is None
@@ -304,7 +303,7 @@ def checkpoint_dir(model, dataset, taxonomy, tmp_path_factory):
 @pytest.fixture(scope="module")
 def wire(checkpoint_dir):
     server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                          num_workers=2, max_wait_ms=0.5)
+                                          num_workers=2)
     server.start()
     client = ServingClient(server.url)
     client.wait_ready(timeout_s=30)
@@ -364,7 +363,7 @@ class TestCacheOverTheWire:
 
     def test_cache_disabled_gateway(self, checkpoint_dir, batch):
         server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                              num_workers=1, max_wait_ms=0.5,
+                                              num_workers=1,
                                               cache_entries=0)
         server.start()
         try:

@@ -132,7 +132,7 @@ def _rows(n):
 class TestPoolDeadlines:
     def test_pre_submit_expiry_raises_and_counts(self):
         with ScorerPool(lambda: (lambda b: b.numeric[:, 0]),
-                        num_workers=1, max_wait_ms=0.0) as pool:
+                        num_workers=1) as pool:
             with pytest.raises(DeadlineExceeded):
                 pool.submit(_rows(3), deadline=time.monotonic() - 0.5)
             stats = pool.stats()
@@ -148,7 +148,7 @@ class TestPoolDeadlines:
                 return batch.numeric[:, 0]
             return score
 
-        with ScorerPool(factory, num_workers=1, max_wait_ms=0.0) as pool:
+        with ScorerPool(factory, num_workers=1) as pool:
             blocker = pool.submit(_rows(2))     # occupies the sole worker
             time.sleep(0.05)
             doomed = pool.submit(_rows(4),
@@ -175,7 +175,7 @@ class TestPoolDeadlines:
                 return batch.numeric[:, 0]
             return score
 
-        with ScorerPool(factory, num_workers=1, max_wait_ms=0.0) as pool:
+        with ScorerPool(factory, num_workers=1) as pool:
             blocker = pool.submit(_rows(2))
             time.sleep(0.05)
             abandoned = pool.submit(_rows(3))
@@ -205,7 +205,7 @@ class TestWorkerSupervision:
             plans.append(score)
             return score
 
-        with ScorerPool(factory, num_workers=2, max_wait_ms=0.0,
+        with ScorerPool(factory, num_workers=2,
                         fault_injector=injector) as pool:
             np.testing.assert_allclose(pool.score(_rows(3)),
                                        np.linspace(0, 1, 3))
@@ -232,7 +232,7 @@ class TestWorkerSupervision:
         the worker is replaced."""
         injector = FaultInjector()
         with ScorerPool(lambda: (lambda b: b.numeric[:, 0]),
-                        num_workers=1, max_wait_ms=0.0,
+                        num_workers=1,
                         fault_injector=injector) as pool:
             for _ in range(3):
                 pool.score(_rows(2))
@@ -271,7 +271,7 @@ class TestWorkerSupervision:
             builds.append(score)
             return score
 
-        pool = ScorerPool(factory, num_workers=1, max_wait_ms=0.0,
+        pool = ScorerPool(factory, num_workers=1,
                           fault_injector=injector)
         injector.arm_worker_kills(1)
         with pytest.raises(WorkerKilled):
@@ -319,7 +319,7 @@ class TestDegradedFallback:
         config.update(breaker_overrides)
         registry = ModelRegistry()
         registry.register("m", model)
-        return RankingService(registry, default_model="m", max_wait_ms=0.0,
+        return RankingService(registry, default_model="m",
                               breaker_config=BreakerConfig(**config))
 
     def test_open_breaker_serves_degraded_prior(self):
@@ -371,7 +371,7 @@ class TestDegradedFallback:
         registry = ModelRegistry()
         registry.register("m", model)
         with RankingService(
-                registry, default_model="m", max_wait_ms=0.0,
+                registry, default_model="m",
                 breaker_config=BreakerConfig(min_requests=1, cooldown_s=60.0),
                 degraded_prior=lambda batch: -np.arange(float(len(batch)))
         ) as service:
@@ -576,7 +576,7 @@ def fault_server(model, dataset, taxonomy, tmp_path, backend):
     serving.save_environment(tmp_path, dataset.spec, taxonomy)
     serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
     server = serving.serve_from_directory(
-        tmp_path, port=0, num_workers=2, max_wait_ms=0.5,
+        tmp_path, port=0, num_workers=2,
         enable_fault_injection=True,
         # Fault tests repeat identical payloads and need every request to
         # reach the scorer, so the result cache must be off.
@@ -696,7 +696,7 @@ class TestChaosHarness:
         serving.save_environment(tmp_path, dataset.spec, taxonomy)
         serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
         server = serving.serve_from_directory(
-            tmp_path, port=0, num_workers=2, max_wait_ms=0.5,
+            tmp_path, port=0, num_workers=2,
             enable_fault_injection=True,
             cache_entries=0,
             breaker_config=BreakerConfig(window_s=3.0, failure_threshold=0.05,

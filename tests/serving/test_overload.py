@@ -50,7 +50,6 @@ def _make_server(delay_s: float = 0.05,
     registry = ModelRegistry()
     registry.register("toy", _SlowToyModel(delay_s))
     service = RankingService(registry, num_workers=1, max_batch_rows=4,
-                             max_wait_ms=1.0,
                              max_backlog_rows=max_backlog_rows)
     return ServingServer(service, drain_deadline_s=drain_deadline_s).start()
 

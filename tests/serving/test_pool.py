@@ -44,7 +44,7 @@ class TestScorerPool:
         batches = [dataset.batch(np.arange(i, i + 5)) for i in range(30)]
         expected = [model.score(b) for b in batches]
         with ScorerPool(model.make_scorer, num_workers=3,
-                        max_batch_rows=32, max_wait_ms=1.0) as pool:
+                        max_batch_rows=32) as pool:
             futures = [pool.submit(b) for b in batches]
             for future, want in zip(futures, expected):
                 np.testing.assert_allclose(future.result(timeout=10), want,
@@ -57,7 +57,7 @@ class TestScorerPool:
             calls.append(threading.get_ident())
             return model.make_scorer()
 
-        with ScorerPool(factory, num_workers=3, max_wait_ms=0.0) as pool:
+        with ScorerPool(factory, num_workers=3) as pool:
             assert pool.num_workers == 3
         # Called on the constructing thread (compile failures surface to
         # the caller, not inside a daemon thread), once per worker.
@@ -84,8 +84,7 @@ class TestScorerPool:
         requests = [dataset.batch(np.arange(i, i + 2)) for i in range(4)]
         # max_batch_rows == one request's rows: every micro-batch is one
         # request, so the four requests need four worker slots to overlap.
-        with ScorerPool(factory, num_workers=4, max_batch_rows=2,
-                        max_wait_ms=0.0) as pool:
+        with ScorerPool(factory, num_workers=4, max_batch_rows=2) as pool:
             started = time.monotonic()
             futures = [pool.submit(b) for b in requests]
             for future in futures:
@@ -98,7 +97,7 @@ class TestScorerPool:
     def test_stats_aggregate_and_per_worker_conserved(self, model, dataset):
         sizes = [3, 5, 2, 7, 4, 6, 1, 8]
         with ScorerPool(model.make_scorer, num_workers=3,
-                        max_batch_rows=16, max_wait_ms=1.0) as pool:
+                        max_batch_rows=16) as pool:
             futures = [pool.submit(dataset.batch(np.arange(s))) for s in sizes]
             for future in futures:
                 future.result(timeout=10)
@@ -121,7 +120,7 @@ class TestScorerPool:
 
     def test_close_completes_pending(self, model, dataset):
         batch = dataset.batch(np.arange(6))
-        pool = ScorerPool(model.make_scorer, num_workers=2, max_wait_ms=50.0)
+        pool = ScorerPool(model.make_scorer, num_workers=2)
         future = pool.submit(batch)
         pool.close()
         np.testing.assert_array_equal(future.result(timeout=10),
@@ -241,8 +240,6 @@ class TestSingleWorkerPool:
     def test_invalid_knobs_rejected(self, model):
         with pytest.raises(ValueError):
             ScorerPool(lambda: model.score, num_workers=1, max_batch_rows=0)
-        with pytest.raises(ValueError):
-            ScorerPool(lambda: model.score, num_workers=1, max_wait_ms=-1.0)
 
 
 class TestAdmissionBound:
@@ -264,7 +261,7 @@ class TestAdmissionBound:
     def test_over_bound_submit_sheds(self, dataset):
         release = threading.Event()
         with ScorerPool(self._gated_factory(release), num_workers=1,
-                        max_batch_rows=4, max_wait_ms=0.0,
+                        max_batch_rows=4,
                         max_backlog_rows=8, name="bounded") as pool:
             # First submit is collected by the worker (blocks in score);
             # the next fills the backlog to the bound.
@@ -298,7 +295,7 @@ class TestAdmissionBound:
             return lambda batch: np.zeros(len(batch))
 
         with ScorerPool(factory, num_workers=1, max_batch_rows=64,
-                        max_wait_ms=0.0, max_backlog_rows=8) as pool:
+                        max_backlog_rows=8) as pool:
             future = pool.submit(dataset.batch(np.arange(32)))
             assert future.result(timeout=10).shape == (32,)
             assert pool.stats().shed_requests == 0
@@ -308,7 +305,7 @@ class TestAdmissionBound:
             return lambda batch: np.zeros(len(batch))
 
         with ScorerPool(factory, num_workers=1, max_batch_rows=64,
-                        max_wait_ms=0.0, max_backlog_rows=100) as pool:
+                        max_backlog_rows=100) as pool:
             for _ in range(5):
                 pool.submit(dataset.batch(np.arange(10))).result(timeout=10)
             rate = pool.drain_rate_rows_per_s()
@@ -380,24 +377,21 @@ class TestAdaptiveCap:
     def test_idle_pool_scores_without_straggler_wait(self, model, dataset):
         """The latency half of the policy: with no backlog the cap
         collapses to min_batch_rows, so a request that already meets it
-        is scored immediately instead of sitting out max_wait_ms."""
+        is scored immediately."""
         batch = dataset.batch(np.arange(8))     # 8 rows ≥ min_batch_rows
-        wait_ms = 400.0
         with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=256, max_wait_ms=wait_ms,
-                        min_batch_rows=8) as pool:
+                        max_batch_rows=256, min_batch_rows=8) as pool:
             started = time.monotonic()
             pool.score(batch)
             elapsed = time.monotonic() - started
-        assert elapsed < wait_ms / 1000.0 / 2
+        assert elapsed < 0.2
 
     def test_lone_small_request_skips_straggler_wait(self, model, dataset):
         """A request below min_batch_rows into an idle pool is scored at
         once: with nothing queued there is no straggler to wait for."""
         batch = dataset.batch(np.arange(6))     # 6 rows < min_batch_rows
         with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=256, max_wait_ms=400.0,
-                        min_batch_rows=8) as pool:
+                        max_batch_rows=256, min_batch_rows=8) as pool:
             started = time.monotonic()
             scores = pool.score(batch)
             elapsed = time.monotonic() - started
@@ -421,7 +415,7 @@ class TestAdaptiveCap:
             return gated
 
         with ScorerPool(factory, num_workers=2, max_batch_rows=64,
-                        max_wait_ms=1.0, min_batch_rows=4) as pool:
+                        min_batch_rows=4) as pool:
             futures = [pool.submit(b) for b in requests]
             release.set()
             results = [f.result(timeout=30) for f in futures]
@@ -500,7 +494,7 @@ class TestHotReloadSoak:
         observed_versions = set()
         stop = threading.Event()
 
-        with RankingService(registry, max_wait_ms=0.5,
+        with RankingService(registry,
                             num_workers=3) as service:
             def client(index):
                 name = names[index % len(names)]
@@ -561,17 +555,15 @@ class TestMicroBatchAssemblyProperties:
                           min_size=1, max_size=16),
            num_workers=st.integers(min_value=1, max_value=4),
            max_batch_rows=st.integers(min_value=1, max_value=48),
-           max_wait_ms=st.sampled_from([0.0, 0.5, 2.0]),
            submitters=st.integers(min_value=1, max_value=4))
     def test_assembly_exact_and_conserved(self, model, dataset, sizes,
                                           num_workers, max_batch_rows,
-                                          max_wait_ms, submitters):
+                                          submitters):
         requests = [dataset.batch(np.arange(i % 8, i % 8 + size))
                     for i, size in enumerate(sizes)]
         expected = [model.score(b) for b in requests]
         with ScorerPool(model.make_scorer, num_workers=num_workers,
-                        max_batch_rows=max_batch_rows,
-                        max_wait_ms=max_wait_ms) as pool:
+                        max_batch_rows=max_batch_rows) as pool:
             # Random-ish arrival: requests fan out over several submitter
             # threads, so enqueue order interleaves with worker collection.
             with ThreadPoolExecutor(max_workers=submitters) as executor:
@@ -595,7 +587,7 @@ class TestMicroBatchAssemblyProperties:
         requests = [dataset32.batch(np.arange(size)) for size in sizes]
         expected = [model32.score(b) for b in requests]
         with ScorerPool(model32.make_scorer, num_workers=2,
-                        max_batch_rows=24, max_wait_ms=1.0) as pool:
+                        max_batch_rows=24) as pool:
             futures = [pool.submit(b) for b in requests]
             results = [future.result(timeout=30) for future in futures]
         for got, want in zip(results, expected):

@@ -258,7 +258,7 @@ def gateway_dir(model, dataset, taxonomy, log, tmp_path_factory):
 @pytest.fixture(scope="module")
 def gateway(gateway_dir):
     server = serving.serve_from_directory(gateway_dir, port=0, num_workers=2,
-                                          max_wait_ms=0.5, scorer_processes=2,
+                                          scorer_processes=2,
                                           gateway_shards=2)
     server.start()
     yield server

@@ -51,7 +51,7 @@ def checkpoint_dir(model, dataset, taxonomy, log, tmp_path_factory, backend):
 @pytest.fixture(scope="module")
 def server(checkpoint_dir):
     server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                          num_workers=2, max_wait_ms=0.5)
+                                          num_workers=2)
     server.start()
     yield server
     server.close()
@@ -147,8 +147,7 @@ class TestRankEndpoint:
         empty_sparse = {name: [] for name in dataset.spec.sparse_names}
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
-        service = serving.RankingService(registry, default_model="ranker",
-                                         max_wait_ms=0.0)
+        service = serving.RankingService(registry, default_model="ranker")
         with serving.ServingServer(service, port=0).start() as bare:
             bare_client = ServingClient(bare.url)
             bare_client.wait_ready(timeout_s=30)
@@ -174,7 +173,7 @@ class TestRankEndpoint:
         registry = serving.ModelRegistry()
         registry.register("nan", _NaNModel())
         service = serving.RankingService(
-            registry, default_model="nan", max_wait_ms=0.0,
+            registry, default_model="nan",
             breaker_config=serving.BreakerConfig())
         batch = dataset.batch(np.arange(6))
         body = json.dumps({"candidates": {
@@ -277,8 +276,7 @@ class TestOperationalEndpoints:
                        "drain_rate_rows_per_s", "worker_restarts",
                        "expired_requests", "expired_rows",
                        "lost_resolutions", "averted_respawns", "processes",
-                       "process_restarts", "process_busy_seconds",
-                       "quantized"}
+                       "process_restarts", "process_busy_seconds"}
         assert payload["scorers"], "at least one scorer pool must report"
         for stats in payload["scorers"].values():
             assert set(stats) == scorer_keys
@@ -404,8 +402,7 @@ class TestHotReload:
     def test_reload_without_checkpoint_dir_is_400(self, model, dataset, backend):
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
-        service = serving.RankingService(registry, default_model="ranker",
-                                         max_wait_ms=0.0)
+        service = serving.RankingService(registry, default_model="ranker")
         with serving.ServingServer(service, port=0).start() as bare:
             bare_client = ServingClient(bare.url)
             bare_client.wait_ready(timeout_s=30)

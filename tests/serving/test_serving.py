@@ -176,8 +176,7 @@ class TestRankingService:
         return registry
 
     def test_rank_returns_topk_best_first(self, registry, model, batch):
-        with RankingService(registry, default_model="ranker",
-                            max_wait_ms=0.0) as service:
+        with RankingService(registry, default_model="ranker") as service:
             response = service.rank(batch, top_k=5)
         direct = model.score(batch)
         assert response.indices.shape == (5,)
@@ -191,8 +190,8 @@ class TestRankingService:
                                     log, batch):
         queries = log.queries
         with RankingService(registry, default_model="ranker",
-                            classifier=classifier, taxonomy=taxonomy,
-                            max_wait_ms=0.0) as service:
+                            classifier=classifier,
+                            taxonomy=taxonomy) as service:
             response = service.rank(batch, query_tokens=queries.tokens[0],
                                     query_lengths=queries.lengths[0], top_k=3)
         assert response.predicted_sc is not None
@@ -208,12 +207,11 @@ class TestRankingService:
         queries = log.queries
         sc, tc = None, None
         with RankingService(registry, default_model="general",
-                            classifier=classifier, taxonomy=taxonomy,
-                            max_wait_ms=0.0) as probe:
+                            classifier=classifier, taxonomy=taxonomy) as probe:
             sc, tc = probe.classify_query(queries.tokens[0], queries.lengths[0])
         with RankingService(registry, default_model="general",
                             classifier=classifier, taxonomy=taxonomy,
-                            routing={tc: "dedicated"}, max_wait_ms=0.0) as service:
+                            routing={tc: "dedicated"}) as service:
             routed = service.rank(batch, query_tokens=queries.tokens[0],
                                   query_lengths=queries.lengths[0])
             unrouted = service.rank(batch)
@@ -221,22 +219,21 @@ class TestRankingService:
         assert unrouted.model_name == "general"
 
     def test_single_registered_model_is_implicit_default(self, registry, batch):
-        with RankingService(registry, max_wait_ms=0.0) as service:
+        with RankingService(registry) as service:
             assert service.rank(batch).model_name == "ranker"
 
     def test_ambiguous_routing_raises(self, model, batch):
         registry = ModelRegistry()
         registry.register("a", model)
         registry.register("b", model)
-        with RankingService(registry, max_wait_ms=0.0) as service:
+        with RankingService(registry) as service:
             with pytest.raises(ValueError):
                 service.rank(batch)
 
     def test_closed_service_refuses_scoring(self, registry, batch):
         """close() must be terminal: a late caller would otherwise rebuild
         a scorer pool whose worker threads nothing ever stops."""
-        service = RankingService(registry, default_model="ranker",
-                                 max_wait_ms=0.0)
+        service = RankingService(registry, default_model="ranker")
         service.rank(batch)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -247,8 +244,7 @@ class TestRankingService:
         """A caller can resolve a pool and lose the race with a hot swap
         retiring it; the service must transparently re-resolve instead of
         surfacing 'ScorerPool is closed'."""
-        with RankingService(registry, default_model="ranker",
-                            max_wait_ms=0.0) as service:
+        with RankingService(registry, default_model="ranker") as service:
             scorer, _ = service._scorer_for("ranker", None)
             with service._scorers_lock:
                 service._scorers.pop(("ranker", 1))
@@ -261,8 +257,7 @@ class TestRankingService:
         worker thread / model reference once traffic moves over."""
         registry = ModelRegistry()
         registry.register("ranker", model)
-        with RankingService(registry, default_model="ranker",
-                            max_wait_ms=0.0) as service:
+        with RankingService(registry, default_model="ranker") as service:
             first = service.rank(batch)
             assert first.model_version == 1
             registry.register("ranker", model)  # hot swap to v2
@@ -273,14 +268,14 @@ class TestRankingService:
             assert service.rank(batch, version=1).model_version == 1
 
     def test_stats_exposed_per_model(self, registry, batch):
-        with RankingService(registry, max_wait_ms=0.0) as service:
+        with RankingService(registry) as service:
             service.rank(batch)
             stats = service.stats()
         assert "ranker:v1" in stats
         assert stats["ranker:v1"].requests == 1
 
     def test_pooled_service_matches_reference(self, registry, model, batch):
-        with RankingService(registry, default_model="ranker", max_wait_ms=0.0,
+        with RankingService(registry, default_model="ranker",
                             num_workers=3) as service:
             response = service.rank(batch, top_k=4)
             stats = service.stats()
@@ -312,7 +307,7 @@ class TestRankingService:
         batch = dataset.batch(np.arange(24))
         with RankingService(registry, default_model="ranker",
                             classifier=serving.load_classifier_checkpoint(clf_path),
-                            taxonomy=taxonomy, max_wait_ms=0.0) as service:
+                            taxonomy=taxonomy) as service:
             response = service.rank(batch, query_tokens=log.queries.tokens[0],
                                     query_lengths=log.queries.lengths[0], top_k=4)
         np.testing.assert_allclose(response.scores,

@@ -36,7 +36,7 @@ def server(model, dataset):
     registry = serving.ModelRegistry()
     registry.register("ranker", model)
     service = serving.RankingService(registry, default_model="ranker",
-                                     num_workers=2, max_wait_ms=0.5)
+                                     num_workers=2)
     server = serving.ServingServer(service, port=0, spec=dataset.spec,
                                    idle_timeout_s=IDLE_TIMEOUT_S,
                                    max_body_bytes=MAX_BODY)
@@ -587,7 +587,7 @@ class TestShardedTransport:
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
-                                         num_workers=2, max_wait_ms=0.5)
+                                         num_workers=2)
         server = serving.ServingServer(service, port=0, spec=dataset.spec,
                                        gateway_shards=2)
         try:
@@ -613,7 +613,7 @@ class TestShardedTransport:
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
-                                         num_workers=1, max_wait_ms=0.0)
+                                         num_workers=1)
         server = serving.ServingServer(service, port=0, spec=dataset.spec)
         # Swap in a transport forced onto the dup() path, reusing the
         # server's dispatcher — proves the fallback serves identically.
