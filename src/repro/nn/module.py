@@ -65,17 +65,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        """Yield (qualified_name, module) pairs across the module tree.
-
-        Names compose exactly like :meth:`named_parameters`: a parameter
-        ``p`` of the module named ``a.b`` appears there as ``a.b.p``.
-        """
-        yield (prefix, self)
-        for name, module in self._modules.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from module.named_modules(prefix=child_prefix)
-
     def num_parameters(self) -> int:
         """Total number of scalar parameters in the tree."""
         return sum(p.size for p in self.parameters())

@@ -117,7 +117,7 @@ class ResultCache:
             raise ValueError("ttl_s must be positive (or None for no expiry)")
         self.max_entries = int(max_entries)
         self.ttl_s = ttl_s
-        self._clock = clock
+        self.clock = clock
         self._lock = threading.Lock()
         # key -> (expires_at | None, value); dict order is the LRU order
         # (pop + reinsert on every touch, same idiom as BufferPool).
@@ -129,7 +129,7 @@ class ResultCache:
 
     def get(self, key):
         """The cached value, or ``None`` on a miss (or expired entry)."""
-        now = self._clock()
+        now = self.clock()
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
@@ -146,7 +146,7 @@ class ResultCache:
 
     def put(self, key, value) -> None:
         """Insert (or refresh) ``key``; evicts LRU entries past capacity."""
-        expires_at = None if self.ttl_s is None else self._clock() + self.ttl_s
+        expires_at = None if self.ttl_s is None else self.clock() + self.ttl_s
         with self._lock:
             self._entries.pop(key, None)
             self._entries[key] = (expires_at, value)

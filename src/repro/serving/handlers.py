@@ -18,10 +18,16 @@ structured 429 carrying ``Retry-After`` derived from the pools' live
 drain rate.  Shedding at the door keeps the refusal cost to one int
 read — an overloaded gateway must get *cheaper* per excess request, not
 more expensive, or shedding itself becomes the overload.
+
+With a result cache configured, a repeated ``/rank`` body is answered
+from its bytes: a memo maps the body's digest to the result key
+:meth:`RankingService.rank` resolved for it, and a repeat replays that
+key with no JSON decode, validation, classification or feature hashing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import threading
@@ -34,11 +40,12 @@ import numpy as np
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from .breaker import CLOSED, HALF_OPEN, OPEN
+from .cache import ResultCache
 from .metrics import (PROMETHEUS_CONTENT_TYPE, LatencyHistogram,
                       render_enum_metric, render_histogram, render_metric)
 from .protocol import parse_deadline_ms
 from .scorer import DeadlineExceeded, PoolOverloaded
-from .service import RankingService, candidate_batch
+from .service import RankingResponse, RankingService, candidate_batch
 
 __all__ = ["ApiError", "GatewayDispatcher"]
 
@@ -69,6 +76,56 @@ def _as_array(value, dtype, field: str, ndim: int | None = None) -> np.ndarray:
                        f"field {field!r} must be {ndim}-dimensional, "
                        f"got shape {array.shape}")
     return array
+
+
+def _integer(value, field: str, low: int = 1, high: int | None = None) -> int:
+    """A JSON integer in ``[low, high]``; booleans and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < low or (high is not None and value > high):
+        allowed = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ApiError(400, "bad_request",
+                       f"field {field!r} must be an integer {allowed}, "
+                       f"got {value!r}")
+    return value
+
+
+def _query(payload: dict, tokens_field: str, lengths_field: str
+           ) -> tuple[np.ndarray | None, int | None]:
+    """One query's token ids and length, or ``(None, None)`` without tokens.
+
+    The tokens must be one non-empty id list and the length (an integer
+    or a one-element list) must lie in ``[1, len(tokens)]``: the scan
+    reads exactly that prefix, so anything else would be classified as a
+    query the client never sent.
+    """
+    raw = payload.get(tokens_field)
+    if raw is None:
+        return None, None
+    tokens = _as_array(raw, np.int64, tokens_field, ndim=1)
+    if tokens.shape[0] == 0:
+        raise ApiError(400, "bad_request",
+                       f"field {tokens_field!r} is an empty list; a query "
+                       f"needs at least one token")
+    length = payload.get(lengths_field)
+    if isinstance(length, list) and len(length) == 1:
+        length = length[0]
+    if length is not None:
+        length = _integer(length, lengths_field, 1, tokens.shape[0])
+    return tokens, length
+
+
+def _rank_payload(response: RankingResponse) -> dict:
+    return {
+        "indices": response.indices,
+        "scores": response.scores,
+        "model_name": response.model_name,
+        "model_version": response.model_version,
+        "predicted_sc": response.predicted_sc,
+        "predicted_tc": response.predicted_tc,
+        "latency_ms": response.latency_ms,
+        "degraded": response.degraded,
+        "cached": response.cached,
+    }
 
 
 class GatewayDispatcher:
@@ -129,6 +186,12 @@ class GatewayDispatcher:
         # cardinality attack on the metrics endpoint.
         self._histograms = {path: LatencyHistogram()
                             for _, path in self.ROUTES}
+        # /rank body digest -> (result key, top_k), written only for
+        # answers the result cache holds and bounded exactly like it.
+        cache = service.result_cache
+        self._memo = (ResultCache(cache.max_entries, cache.ttl_s,
+                                  clock=cache.clock)
+                      if cache is not None else None)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -187,13 +250,20 @@ class GatewayDispatcher:
                     # that a refused request costs an int read, not a
                     # JSON parse of a payload nobody will score.
                     return self._shed(retry_after)
-            payload = self._parse_json(body) if method == "POST" else {}
-            if handler_name == "handle_rank":
-                # The one handler deadlines propagate *into*: its scoring
-                # queue is where a request can expire post-admission.
-                result = self.handle_rank(payload, deadline=deadline)
-            else:
-                result = getattr(self, handler_name)(payload)
+            digest = result = None
+            if handler_name == "handle_rank" and self._memo is not None:
+                digest = hashlib.blake2b(body, digest_size=16).digest()
+                result = self._replay(digest)
+            if result is None:
+                payload = self._parse_json(body) if method == "POST" else {}
+                if handler_name == "handle_rank":
+                    # The one handler deadlines propagate *into*: its
+                    # scoring queue is where a request can expire
+                    # post-admission.
+                    result = self.handle_rank(payload, deadline=deadline,
+                                              digest=digest)
+                else:
+                    result = getattr(self, handler_name)(payload)
             headers = {}
             if isinstance(result, tuple):
                 result, headers = result
@@ -239,6 +309,20 @@ class GatewayDispatcher:
             "message": f"scoring backlog is at its admission bound; "
                        f"retry in ~{retry_after}s",
         }}, {"Retry-After": str(retry_after)}
+
+    def _replay(self, digest: bytes) -> dict | None:
+        """The memoized ``/rank`` answer for a body digest, or ``None``.
+
+        ``None`` also when the result-cache entry behind the memo is gone
+        (a reload, eviction or expiry): the full path then answers and
+        refreshes the memo.
+        """
+        memoized = self._memo.get(digest)
+        if memoized is None:
+            return None
+        known, top_k = memoized
+        response = self.service.rank(None, top_k=top_k, known=known)
+        return None if response is None else _rank_payload(response)
 
     @staticmethod
     def _parse_json(body: bytes) -> dict:
@@ -302,8 +386,8 @@ class GatewayDispatcher:
     # ------------------------------------------------------------------
     # Endpoint handlers (return JSON-safe dicts; raise ApiError for 4xx)
     # ------------------------------------------------------------------
-    def handle_rank(self, payload: dict,
-                    deadline: float | None = None) -> dict:
+    def handle_rank(self, payload: dict, deadline: float | None = None,
+                    digest: bytes | None = None) -> dict:
         candidates = _require(payload, "candidates")
         if not isinstance(candidates, dict):
             raise ApiError(400, "bad_request",
@@ -330,15 +414,13 @@ class GatewayDispatcher:
                            "sparse feature lengths must match the number of "
                            f"candidate rows ({len(batch)})")
         self._validate_candidates(batch)
-        query_tokens = payload.get("query_tokens")
-        if query_tokens is not None:
-            query_tokens = _as_array(query_tokens, np.int64, "query_tokens")
-        query_lengths = payload.get("query_lengths")
-        top_k = payload.get("top_k", 10)
-        if not isinstance(top_k, int) or top_k <= 0:
-            raise ApiError(400, "bad_request", "'top_k' must be a positive integer")
+        query_tokens, query_lengths = _query(payload, "query_tokens",
+                                             "query_lengths")
+        top_k = _integer(payload.get("top_k", 10), "top_k")
         model = payload.get("model")
         version = payload.get("version")
+        if version is not None:
+            version = _integer(version, "version")
         if model is not None:
             # Resolve explicitly named models up front so "unknown model"
             # is a clean 404; KeyErrors raised *during* scoring (e.g. a
@@ -353,27 +435,18 @@ class GatewayDispatcher:
                 top_k=top_k, model=model, version=version, deadline=deadline)
         except (KeyError, ValueError, IndexError) as error:
             raise ApiError(400, "bad_request", str(error)) from None
-        return {
-            "indices": response.indices,
-            "scores": response.scores,
-            "model_name": response.model_name,
-            "model_version": response.model_version,
-            "predicted_sc": response.predicted_sc,
-            "predicted_tc": response.predicted_tc,
-            "latency_ms": response.latency_ms,
-            "degraded": response.degraded,
-            "cached": response.cached,
-        }
+        if digest is not None and response.key is not None:
+            self._memo.put(digest, (response.key, top_k))
+        return _rank_payload(response)
 
     def handle_classify(self, payload: dict) -> dict:
         if self.service.classifier is None:
             raise ApiError(400, "no_classifier",
                            "this gateway serves no query classifier")
-        tokens = _as_array(_require(payload, "tokens"), np.int64, "tokens")
-        if tokens.ndim != 1:
+        tokens, lengths = _query(payload, "tokens", "lengths")
+        if tokens is None:
             raise ApiError(400, "bad_request",
-                           "'tokens' must be one query's token id list")
-        lengths = payload.get("lengths")
+                           "missing required field 'tokens'")
         try:
             sc, tc = self.service.classify_query(tokens, lengths)
         except (KeyError, ValueError, IndexError) as error:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +69,31 @@ class RankingResponse:
     latency_ms: float = 0.0
     degraded: bool = False              # model-free fallback (breaker open)
     cached: bool = False                # served from the result cache
+    # Opaque handle on the result-cache entry this answer went into or
+    # came from (``None`` when uncached or degraded); passing it back as
+    # ``rank(None, known=key)`` answers the same request again.
+    key: object = None
     extras: dict = field(default_factory=dict)
+
+
+class _ResultKey(NamedTuple):
+    """What :meth:`RankingService.rank` resolved a request to.
+
+    Everything a cache lookup needs except the model version, which is
+    read live on each replay: ``pin`` is the request's ``version`` (``None``
+    follows the latest), so a reload moves an unpinned key to the new
+    version's (empty) entry instead of serving the old one.
+    """
+
+    name: str
+    pin: int | None
+    sc: int | None
+    tc: int | None
+    digest: str
+
+    def entry(self, version: int) -> tuple:
+        """The result-cache key under model ``version``."""
+        return (self.name, version, self.tc, self.digest)
 
 
 class RankingService:
@@ -428,10 +453,12 @@ class RankingService:
         """Rank calls served by the degraded fallback since start."""
         return self._degraded_responses
 
-    def rank(self, candidates: Batch, query_tokens: np.ndarray | None = None,
+    def rank(self, candidates: Batch | None,
+             query_tokens: np.ndarray | None = None,
              query_lengths: np.ndarray | int | None = None, top_k: int = 10,
              model: str | None = None, version: int | None = None,
-             deadline: float | None = None) -> RankingResponse:
+             deadline: float | None = None,
+             known=None) -> RankingResponse | None:
         """Rank ``candidates`` for a query; returns the top-k best first.
 
         ``deadline`` (absolute :func:`time.monotonic`) propagates into the
@@ -450,28 +477,37 @@ class RankingService:
         Entries are stored **pre-top-k**, so requests differing only in
         ``top_k`` share one entry; degraded fallback answers are never
         stored (a healthy answer must not be shadowed by an outage's
-        prior).
+        prior).  Every answer that went into or came from the cache
+        carries its :attr:`RankingResponse.key`.
+
+        ``rank(None, known=key)`` replays such a key without candidates,
+        query or classifier: it reads the live version for the key's pin
+        and makes one cache lookup.  It returns ``None`` when that misses
+        (a reload, eviction or expiry), and the caller ranks the full
+        request instead.
         """
         started = time.monotonic()
+        if known is not None:
+            return self._replay(known, top_k, started)
         sc = tc = None
         if query_tokens is not None:
             sc, tc = self.classify_query(query_tokens, query_lengths)
         name = self._select_model(tc, model)
-        cache_key = feature_digest = None
+        key = None
         if self._cache is not None:
             feature_digest = canonical_key(candidates.numeric,
                                            candidates.sparse)
+            key = _ResultKey(name, version, sc, tc, feature_digest)
             try:
                 live_version = self.registry.entry(name, version).version
             except KeyError:
                 live_version = None     # scoring will raise the same error
             if live_version is not None:
-                cache_key = (name, live_version, tc, feature_digest)
-                scores = self._cache.get(cache_key)
+                scores = self._cache.get(key.entry(live_version))
                 if scores is not None:
                     return self._top_k_response(
                         scores, top_k, name, live_version, sc, tc, started,
-                        cached=True)
+                        cached=True, key=key)
         degraded = False
         breaker = self._breaker_for(name)
         if breaker is not None and not breaker.allow():
@@ -503,15 +539,30 @@ class RankingService:
                     # path hands this exact array back out.
                     stored = np.array(scores, copy=True)
                     stored.setflags(write=False)
-                    self._cache.put(
-                        (name, resolved_version, tc, feature_digest), stored)
+                    self._cache.put(key.entry(resolved_version), stored)
         return self._top_k_response(scores, top_k, name, resolved_version,
-                                    sc, tc, started, degraded=degraded)
+                                    sc, tc, started, degraded=degraded,
+                                    key=None if degraded else key)
+
+    def _replay(self, key: _ResultKey, top_k: int,
+                started: float) -> RankingResponse | None:
+        """The cached answer for a key :meth:`rank` resolved, or ``None``."""
+        try:
+            live_version = self.registry.entry(key.name, key.pin).version
+        except KeyError:
+            return None
+        scores = self._cache.get(key.entry(live_version))
+        if scores is None:
+            return None
+        return self._top_k_response(scores, top_k, key.name, live_version,
+                                    key.sc, key.tc, started, cached=True,
+                                    key=key)
 
     def _top_k_response(self, scores: np.ndarray, top_k: int, name: str,
                         version: int, sc: int | None, tc: int | None,
                         started: float, degraded: bool = False,
-                        cached: bool = False) -> RankingResponse:
+                        cached: bool = False,
+                        key: _ResultKey | None = None) -> RankingResponse:
         top_k = min(top_k, len(scores))
         order = np.argsort(-scores, kind="stable")[:top_k]
         return RankingResponse(
@@ -524,6 +575,7 @@ class RankingService:
             latency_ms=(time.monotonic() - started) * 1000.0,
             degraded=degraded,
             cached=cached,
+            key=key,
         )
 
     # ------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Tests for the version-keyed result cache (:mod:`repro.serving.cache`).
 
-Three layers: :func:`canonical_key` canonicalization, the
+Four layers: :func:`canonical_key` canonicalization, the
 :class:`ResultCache` LRU/TTL mechanics (with an injected clock — no
-sleeps), and the service/gateway integration — cached answers must be
+sleeps), the service/gateway integration — cached answers must be
 bit-identical to recomputation per model version, a hot reload must make
 new-version answers immediately visible (the version lives in the key),
-and degraded fallback answers must never be cached.
+and degraded fallback answers must never be cached — and the gateway's
+body-digest memo, which answers a repeated ``/rank`` body from its bytes.
 """
 
+import json
+import sys
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
 from repro.serving import (BreakerConfig, ModelRegistry, RankingService,
                            ResultCache, ServingClient, candidate_batch,
                            canonical_key)
+from repro.serving import service as service_module
+from repro.serving.handlers import GatewayDispatcher
 
 
 # ----------------------------------------------------------------------
@@ -374,5 +380,254 @@ class TestCacheOverTheWire:
             assert client.rank(batch.numeric,
                                batch.sparse)["cached"] is False
             assert client.stats()["cache"]["enabled"] is False
+        finally:
+            server.close()
+
+
+# ----------------------------------------------------------------------
+# Body-digest memo in front of the result cache
+# ----------------------------------------------------------------------
+def _rank_payload(batch, tokens=None, top_k=5) -> dict:
+    payload = {"candidates": {
+        "numeric": batch.numeric.tolist(),
+        "sparse": {name: ids.tolist() for name, ids in batch.sparse.items()}},
+        "top_k": top_k}
+    if tokens is not None:
+        payload["query_tokens"] = [int(t) for t in tokens]
+    return payload
+
+
+def _body(payload: dict) -> bytes:
+    return json.dumps(payload).encode()
+
+
+def _query(log, index: int) -> np.ndarray:
+    """Query ``index``'s token ids, trimmed to its length."""
+    return log.queries.tokens[index][:log.queries.lengths[index]]
+
+
+class _Calls:
+    """Counts calls through monkeypatched wrappers, by name."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def wrap(self, name, call):
+        self.counts.setdefault(name, 0)
+
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+
+@pytest.fixture()
+def memo_gateway(model, classifier, taxonomy, dataset):
+    """A dispatcher over a cached service with the query classifier."""
+    registry = ModelRegistry()
+    registry.register("ranker", model)
+    service = RankingService(registry, default_model="ranker",
+                             classifier=classifier, taxonomy=taxonomy,
+                             result_cache=ResultCache(max_entries=64,
+                                                      ttl_s=None))
+    yield GatewayDispatcher(service, spec=dataset.spec, taxonomy=taxonomy)
+    service.close()
+
+
+def _rank(dispatcher, body: bytes) -> tuple[int, dict]:
+    status, payload, _ = dispatcher.dispatch("POST", "/rank", body)
+    return status, payload
+
+
+class TestBodyMemo:
+    def test_repeat_body_skips_decode_hash_and_classifier(
+            self, memo_gateway, classifier, batch, log, monkeypatch):
+        body = _body(_rank_payload(batch, _query(log, 0)))
+        status, first = _rank(memo_gateway, body)
+        assert status == 200 and first["cached"] is False
+        assert first["predicted_sc"] is not None
+        calls = _Calls()
+        monkeypatch.setattr(json, "loads", calls.wrap("loads", json.loads))
+        monkeypatch.setattr(service_module, "canonical_key",
+                            calls.wrap("canonical_key", canonical_key))
+        monkeypatch.setattr(classifier, "predict_sc",
+                            calls.wrap("predict_sc", classifier.predict_sc))
+        monkeypatch.setattr(RankingService, "classify_query", calls.wrap(
+            "classify_query", RankingService.classify_query))
+        status, repeat = _rank(memo_gateway, body)
+        assert status == 200
+        assert calls.counts == {"loads": 0, "canonical_key": 0,
+                                "predict_sc": 0, "classify_query": 0}
+        assert repeat["cached"] is True
+        np.testing.assert_array_equal(repeat["scores"], first["scores"])
+        np.testing.assert_array_equal(repeat["indices"], first["indices"])
+        for field in ("predicted_sc", "predicted_tc", "model_name",
+                      "model_version"):
+            assert repeat[field] == first[field]
+
+    def test_each_memo_answer_makes_one_rank_call(self, memo_gateway, batch,
+                                                  log, monkeypatch):
+        body = _body(_rank_payload(batch, _query(log, 1)))
+        assert _rank(memo_gateway, body)[0] == 200
+        calls = _Calls()
+        monkeypatch.setattr(RankingService, "rank",
+                            calls.wrap("rank", RankingService.rank))
+        for expected in (1, 2, 3):
+            status, payload = _rank(memo_gateway, body)
+            assert status == 200 and payload["cached"] is True
+            assert calls.counts["rank"] == expected
+
+    def test_reordered_or_respaced_body_misses_memo_but_hits_cache(
+            self, memo_gateway, batch, monkeypatch):
+        payload = _rank_payload(batch)
+        status, first = _rank(memo_gateway, _body(payload))
+        assert status == 200 and first["cached"] is False
+        reordered = json.dumps(dict(reversed(list(payload.items())))).encode()
+        respaced = json.dumps(payload, separators=(",", ":")).encode()
+        for body in (reordered, respaced):
+            calls = _Calls()
+            monkeypatch.setattr(json, "loads", calls.wrap("loads", json.loads))
+            status, served = _rank(memo_gateway, body)
+            assert status == 200
+            assert calls.counts["loads"] == 1        # decoded: a memo miss
+            assert served["cached"] is True          # but a result-cache hit
+            np.testing.assert_array_equal(served["scores"], first["scores"])
+
+    def test_concurrent_repeats_keep_their_own_answers(self, memo_gateway,
+                                                       dataset, log):
+        """Eight threads race three bodies through cold and warm memo
+        entries; a mixed-up or lost entry would answer one body with
+        another's scores."""
+        bodies = [_body(_rank_payload(dataset.batch(np.arange(i, i + 5)),
+                                      _query(log, i)))
+                  for i in range(3)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_rank, memo_gateway, bodies[i % 3])
+                           for i in range(240)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(status == 200 for status, _ in results)
+        for first, (_, payload) in zip(results[:3] * 80, results):
+            np.testing.assert_array_equal(payload["scores"], first[1]["scores"])
+            np.testing.assert_array_equal(payload["indices"],
+                                          first[1]["indices"])
+        assert len(memo_gateway._memo) == 3
+
+    def test_reload_rescores_a_memoized_body(self, model, dataset, taxonomy,
+                                             tiny_model_config, batch,
+                                             tmp_path, monkeypatch):
+        serving.save_environment(tmp_path, dataset.spec, taxonomy)
+        serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
+        registry = ModelRegistry()
+        registry.reload_from_directory(tmp_path, dataset.spec, taxonomy)
+        with RankingService(registry, default_model="ranker",
+                            result_cache=ResultCache(max_entries=64,
+                                                     ttl_s=None)) as service:
+            dispatcher = GatewayDispatcher(service, spec=dataset.spec,
+                                           taxonomy=taxonomy,
+                                           checkpoint_dir=tmp_path)
+            body = _body(_rank_payload(batch))
+            _rank(dispatcher, body)
+            status, old = _rank(dispatcher, body)
+            assert status == 200 and old["cached"] is True
+            assert old["model_version"] == 1
+            fresh = build_model("adv-hsc-moe", dataset.spec, taxonomy,
+                                tiny_model_config.with_updates(seed=123),
+                                train_dataset=dataset)
+            serving.save_checkpoint(fresh, tmp_path / "ranker", "adv-hsc-moe")
+            status, reloaded, _ = dispatcher.dispatch("POST", "/reload", b"")
+            assert status == 200
+            assert {"name": "ranker", "version": 2} in reloaded["registered"]
+            status, served = _rank(dispatcher, body)
+            assert status == 200
+            assert served["cached"] is False and served["model_version"] == 2
+            np.testing.assert_allclose(
+                served["scores"], np.sort(fresh.score(batch))[::-1][:5],
+                atol=1e-12)
+            # The full path refreshed the memo: the next repeat is a memo
+            # answer again, now from the new version's entry.
+            calls = _Calls()
+            monkeypatch.setattr(json, "loads", calls.wrap("loads", json.loads))
+            status, again = _rank(dispatcher, body)
+            assert calls.counts["loads"] == 0
+            assert again["cached"] is True and again["model_version"] == 2
+            np.testing.assert_array_equal(again["scores"], served["scores"])
+
+    def test_degraded_answers_are_never_memoized(self, batch, dataset):
+        class _Bomb:
+            def score(self, b):
+                raise RuntimeError("model exploded")
+
+        registry = ModelRegistry()
+        registry.register("m", _Bomb())
+        with RankingService(
+                registry, default_model="m",
+                result_cache=ResultCache(max_entries=64, ttl_s=None),
+                breaker_config=BreakerConfig(window_s=10.0,
+                                             failure_threshold=0.5,
+                                             min_requests=2,
+                                             cooldown_s=60.0)) as service:
+            dispatcher = GatewayDispatcher(service)
+            body = _body(_rank_payload(batch))
+            assert [_rank(dispatcher, body)[0] for _ in range(2)] == [500, 500]
+            for _ in range(2):
+                status, payload = _rank(dispatcher, body)
+                assert status == 200 and payload["degraded"] is True
+                assert payload["cached"] is False
+            assert len(dispatcher._memo) == 0
+
+    @pytest.mark.parametrize("change", [
+        {"top_k": 0}, {"top_k": True}, {"model": "ghost"},
+        {"query_tokens": []}, {"candidates": {"numeric": []}}])
+    def test_refused_bodies_are_never_memoized(self, memo_gateway, batch,
+                                               change):
+        body = _body({**_rank_payload(batch), **change})
+        for _ in range(2):
+            status, payload = _rank(memo_gateway, body)
+            assert 400 <= status < 500, payload
+        assert len(memo_gateway._memo) == 0
+
+    def test_memo_bounds_follow_the_result_cache(self, model, dataset,
+                                                 monkeypatch):
+        clock = _FakeClock()
+        registry = ModelRegistry()
+        registry.register("ranker", model)
+        with RankingService(registry, default_model="ranker",
+                            result_cache=ResultCache(max_entries=2, ttl_s=10.0,
+                                                     clock=clock)) as service:
+            dispatcher = GatewayDispatcher(service, spec=dataset.spec)
+            bodies = [_body(_rank_payload(dataset.batch(np.arange(i, i + 4))))
+                      for i in range(3)]
+            calls = _Calls()
+            monkeypatch.setattr(json, "loads", calls.wrap("loads", json.loads))
+
+            def decodes(body) -> int:
+                before = calls.counts["loads"]
+                assert _rank(dispatcher, body)[0] == 200
+                return calls.counts["loads"] - before
+
+            assert [decodes(b) for b in bodies[:2]] == [1, 1]
+            assert decodes(bodies[0]) == 0      # memo hit; bodies[1] is LRU
+            assert decodes(bodies[2]) == 1      # evicts bodies[1]
+            assert len(dispatcher._memo) == 2
+            assert decodes(bodies[1]) == 1      # evicted: decoded again
+            assert decodes(bodies[1]) == 0
+            clock.now += 10.0                   # past both caches' TTL
+            assert decodes(bodies[1]) == 1
+            assert dispatcher._memo.snapshot()["expired"] == 1
+
+    def test_cache_off_builds_no_memo(self, checkpoint_dir, batch):
+        server = serving.serve_from_directory(checkpoint_dir, port=0,
+                                              num_workers=1, cache_entries=0)
+        try:
+            assert server.dispatcher._memo is None
+            body = _body(_rank_payload(batch))
+            for _ in range(2):
+                status, payload = _rank(server.dispatcher, body)
+                assert status == 200 and payload["cached"] is False
         finally:
             server.close()

@@ -75,6 +75,23 @@ def _raw_post(url, path, body: bytes, content_type="application/json"):
     return urllib.request.urlopen(request, timeout=10)
 
 
+def _refused_field(url, path, payload: dict) -> str:
+    """POST ``payload`` as-is; return the 400 ``bad_request`` message."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _raw_post(url, path, json.dumps(payload).encode())
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert error["type"] == "bad_request"
+    return error["message"]
+
+
+@pytest.fixture()
+def query(log):
+    """One real query's token ids, trimmed to its length (2-6 tokens)."""
+    length = int(log.queries.lengths[0])
+    return [int(t) for t in log.queries.tokens[0][:length]]
+
+
 class TestRankEndpoint:
     def test_rank_round_trip_matches_reference(self, client, model, batch):
         result = client.rank(batch.numeric, batch.sparse, top_k=6)
@@ -197,6 +214,24 @@ class TestRankEndpoint:
             client.rank(batch.numeric, batch.sparse, top_k=0)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("field, value", [
+        ("top_k", True),                # was served as top 1
+        ("version", True),              # was served as version 1
+        ("query_tokens", []),           # was an empty scan: sc 0 / tc 0
+        ("query_tokens", "2-D"),        # was the first row's intent
+        ("query_lengths", 0),           # was sc 0
+        ("query_lengths", 99),          # was clipped to the tokens sent
+    ], ids=["top_k-bool", "version-bool", "tokens-empty", "tokens-2d",
+            "lengths-0", "lengths-past-tokens"])
+    def test_malformed_query_field_is_400(self, server, batch, query, field,
+                                          value):
+        payload = {"candidates": {
+            "numeric": batch.numeric.tolist(),
+            "sparse": {k: v.tolist() for k, v in batch.sparse.items()}},
+            "top_k": 3, "model": "ranker", "query_tokens": query}
+        payload[field] = [query, query] if value == "2-D" else value
+        assert repr(field) in _refused_field(server.url, "/rank", payload)
+
     def test_worker_survives_bad_requests(self, client, model, batch):
         """A stream of malformed requests must never wedge the gateway:
         scoring keeps working afterwards."""
@@ -235,6 +270,13 @@ class TestClassifyEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _raw_post(server.url, "/classify", b"{}")
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", []), ("lengths", 0), ("lengths", 99),
+    ], ids=["tokens-empty", "lengths-0", "lengths-past-tokens"])
+    def test_malformed_query_field_is_400(self, server, query, field, value):
+        payload = {"tokens": query, field: value}
+        assert repr(field) in _refused_field(server.url, "/classify", payload)
 
 
 class TestOperationalEndpoints:
