@@ -144,6 +144,17 @@ class ResultCache:
             self._hits += 1
             return value
 
+    def peek(self, key):
+        """The live value, or ``None``, like :meth:`get` without its side
+        effects: no counter moves, the LRU order stays, and an expired
+        entry stays in place for the next :meth:`get` to count."""
+        now = self.clock()
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is None or (entry[0] is not None and now >= entry[0]):
+            return None
+        return entry[1]
+
     def put(self, key, value) -> None:
         """Insert (or refresh) ``key``; evicts LRU entries past capacity."""
         expires_at = None if self.ttl_s is None else self.clock() + self.ttl_s

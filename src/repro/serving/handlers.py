@@ -23,6 +23,9 @@ With a result cache configured, a repeated ``/rank`` body is answered
 from its bytes: a memo maps the body's digest to the result key
 :meth:`RankingService.rank` resolved for it, and a repeat replays that
 key with no JSON decode, validation, classification or feature hashing.
+Such a replay and a health check never wait on a scorer, so
+:meth:`GatewayDispatcher.answers_inline` lets the transport answer them
+on its event loop instead of a dispatch thread.
 """
 
 from __future__ import annotations
@@ -114,6 +117,16 @@ def _query(payload: dict, tokens_field: str, lengths_field: str
     return tokens, length
 
 
+def _route_path(target: str) -> str:
+    """The route a request target names: no query string or trailing slash."""
+    return target.split("?", 1)[0].rstrip("/") or "/"
+
+
+def _body_digest(body: bytes) -> bytes:
+    """The memo's key for a ``/rank`` body: blake2b-16 of its bytes."""
+    return hashlib.blake2b(body, digest_size=16).digest()
+
+
 def _rank_payload(response: RankingResponse) -> dict:
     return {
         "indices": response.indices,
@@ -196,9 +209,28 @@ class GatewayDispatcher:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    def answers_inline(self, method: str, target: str, body: bytes) -> bool:
+        """Whether a request can be answered without waiting on a scorer.
+
+        True for ``GET /healthz``, and for a ``/rank`` body whose memo
+        entry would replay right now (:meth:`RankingService.holds`).  The
+        check moves no counter and no LRU order, so a request it turns
+        away is counted once, by the call that answers it.  ``/stats``
+        and ``/metrics`` are not inline: a scorer-process host's stats
+        can wait on a busy child.
+        """
+        path = _route_path(target)
+        if method == "GET":
+            return path == "/healthz"
+        if self._memo is None or method != "POST" or path != "/rank":
+            return False
+        memoized = self._memo.peek(_body_digest(body))
+        return memoized is not None and self.service.holds(memoized[0])
+
     def dispatch(self, method: str, path: str, body: bytes,
                  headers: dict | None = None,
-                 received_at: float | None = None) -> tuple[int, object, dict]:
+                 received_at: float | None = None,
+                 inline: bool = False) -> tuple[int, object, dict] | None:
         """Route one request: ``(status, payload, extra headers)``.
 
         ``payload`` is a JSON-safe dict for every endpoint except
@@ -212,8 +244,14 @@ class GatewayDispatcher:
         for back-compat with direct callers; together they carry the
         request's ``X-Deadline-Ms`` budget into dispatch, anchored at
         arrival so gateway queueing counts against it.
+
+        ``inline`` is the event loop's call for a request
+        :meth:`answers_inline` accepted.  If the memo entry went stale in
+        between (a concurrent eviction, expiry or reload), the answer is
+        ``None``, with nothing counted or observed, and the caller hands
+        the request to a thread that may wait on a scorer.
         """
-        path = path.split("?", 1)[0].rstrip("/") or "/"
+        path = _route_path(path)
         started = time.monotonic()
         deadline = None
         if headers:
@@ -221,15 +259,16 @@ class GatewayDispatcher:
             if budget_ms is not None:
                 anchor = received_at if received_at is not None else started
                 deadline = anchor + budget_ms / 1000.0
-        try:
-            return self._route(method, path, body, deadline)
-        finally:
-            histogram = self._histograms.get(path)
-            if histogram is not None and (method, path) in self.ROUTES:
-                histogram.observe(time.monotonic() - started)
+        answer = self._route(method, path, body, deadline, inline)
+        histogram = self._histograms.get(path)
+        if answer is not None and histogram is not None \
+                and (method, path) in self.ROUTES:
+            histogram.observe(time.monotonic() - started)
+        return answer
 
     def _route(self, method: str, path: str, body: bytes,
-               deadline: float | None = None) -> tuple[int, object, dict]:
+               deadline: float | None = None, inline: bool = False
+               ) -> tuple[int, object, dict] | None:
         try:
             handler_name = self.ROUTES.get((method, path))
             if handler_name is None:
@@ -252,9 +291,13 @@ class GatewayDispatcher:
                     return self._shed(retry_after)
             digest = result = None
             if handler_name == "handle_rank" and self._memo is not None:
-                digest = hashlib.blake2b(body, digest_size=16).digest()
+                digest = _body_digest(body)
                 result = self._replay(digest)
             if result is None:
+                if inline and handler_name != "handle_healthz":
+                    # Only a replay or a health check never waits on a
+                    # scorer; the memo entry went stale since the check.
+                    return None
                 payload = self._parse_json(body) if method == "POST" else {}
                 if handler_name == "handle_rank":
                     # The one handler deadlines propagate *into*: its
@@ -355,10 +398,16 @@ class GatewayDispatcher:
         missing feature or out-of-range id would fail the merged batch and
         400 every innocent request coalesced with it.  When the gateway
         knows the schema (``spec``), bad requests are turned away at the
-        door instead.  Non-finite numeric features are refused whether or
-        not the schema is known: they can only score as NaN, and NaN is
-        not JSON.
+        door instead.  A numeric block that is not one row of numbers per
+        candidate, and non-finite numeric features, are refused whether or
+        not the schema is known: the first fails every request it is
+        co-batched with, the second can only score as NaN, and NaN is not
+        JSON.
         """
+        if batch.numeric.ndim != 2:
+            raise ApiError(400, "bad_request",
+                           f"candidates.numeric must be a list of rows of "
+                           f"numbers, got shape {batch.numeric.shape}")
         if not np.isfinite(batch.numeric).all():
             raise ApiError(400, "bad_request",
                            "candidates.numeric must be finite "
@@ -590,7 +639,8 @@ class GatewayDispatcher:
             lines.append(render_metric("gateway_keepalive_reuses_total",
                                        connections.get("keepalive_reuses", 0)))
             family("gateway_dispatch_in_flight", "gauge",
-                   "Requests currently inside a handler.")
+                   "Requests inside a handler or queued for a dispatch "
+                   "thread.")
             lines.append(render_metric("gateway_dispatch_in_flight",
                                        connections.get("in_flight", 0)))
         family("gateway_request_duration_seconds", "histogram",

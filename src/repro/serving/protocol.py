@@ -303,11 +303,12 @@ def encode_head(status: int, content_length: int, keep_alive: bool = True,
     """Status line + headers (through the blank line), one ``bytes``.
 
     Split from :func:`encode_body` so the selector transport can render
-    the (possibly expensive) body on a dispatch thread while the event
-    loop decides keep-alive — the loop is the only place that knows
-    whether a response is the connection's last (drain mode forces
-    ``Connection: close`` on final responses only).  ``extra_headers``
-    may override ``Content-Type``.
+    the (possibly expensive) body wherever the handler ran — a dispatch
+    thread, or the event loop for an answer that never waits on a
+    scorer — while the loop alone decides keep-alive: it is the only
+    place that knows whether a response is the connection's last (drain
+    mode forces ``Connection: close`` on final responses only).
+    ``extra_headers`` may override ``Content-Type``.
     """
     extra = dict(extra_headers or {})
     content_type = extra.pop("Content-Type", content_type)

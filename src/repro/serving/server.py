@@ -6,8 +6,8 @@ here:
 * :mod:`repro.serving.transport` — connection I/O.  One
   :mod:`selectors` event loop multiplexes every socket (non-blocking
   reads/writes, keep-alive, idle-timeout reaping — a slow client costs
-  a buffer, not a thread); ``--gateway-shards`` runs several such loops
-  on one port.
+  a buffer, not a thread) and answers health checks and memo answers
+  itself; ``--gateway-shards`` runs several such loops on one port.
 * :mod:`repro.serving.protocol` — incremental HTTP/1.1 framing that
   tolerates partial reads and pipelining, with structured 4xx answers
   for framing violations (oversized bodies → 413, stalled slow-loris
@@ -104,8 +104,9 @@ class ServingServer:
     max_body_bytes:
         Request bodies beyond this answer with a structured 413.
     dispatch_workers:
-        Threads running endpoint handlers (they block on scorer futures;
-        connection count is not bounded by this).
+        Threads for requests that may wait on a scorer (they block on
+        its futures; connection count is not bounded by this).  Health
+        checks and memo answers run on the event loop instead.
     drain_deadline_s:
         Bound on the graceful drain: on :meth:`close` (and on SIGTERM via
         :meth:`install_signal_handlers`) the gateway stops accepting and
@@ -385,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(dup()-shared acceptor fallback); hot reload "
                              "stays atomic across shards")
     parser.add_argument("--dispatch-workers", type=int, default=8,
-                        help="threads running endpoint handlers")
+                        help="threads for requests that may wait on a "
+                             "scorer")
     parser.add_argument("--max-batch-rows", type=int, default=256,
                         help="upper clamp of the adaptive per-worker "
                              "micro-batch row cap")

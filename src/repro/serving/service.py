@@ -544,12 +544,30 @@ class RankingService:
                                     sc, tc, started, degraded=degraded,
                                     key=None if degraded else key)
 
+    def holds(self, known) -> bool:
+        """Whether ``rank(None, known=known)`` would answer right now.
+
+        The same live-version read and result-cache lookup as the replay,
+        but through :meth:`ResultCache.peek`: no counter or LRU order
+        moves, so the call that answers the request does all the
+        counting.
+        """
+        live_version = self._live_version(known)
+        return live_version is not None \
+            and self._cache.peek(known.entry(live_version)) is not None
+
+    def _live_version(self, key: _ResultKey) -> int | None:
+        """The registry version ``key``'s pin names now, if any."""
+        try:
+            return self.registry.entry(key.name, key.pin).version
+        except KeyError:
+            return None
+
     def _replay(self, key: _ResultKey, top_k: int,
                 started: float) -> RankingResponse | None:
         """The cached answer for a key :meth:`rank` resolved, or ``None``."""
-        try:
-            live_version = self.registry.entry(key.name, key.pin).version
-        except KeyError:
+        live_version = self._live_version(key)
+        if live_version is None:
             return None
         scores = self._cache.get(key.entry(live_version))
         if scores is None:

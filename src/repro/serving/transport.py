@@ -8,11 +8,14 @@ framed by :mod:`repro.serving.protocol` and answered by a
 :class:`SelectorTransport` is one event-loop thread that multiplexes
 every connection through stdlib :mod:`selectors` (non-blocking
 accept/read/write, per-connection parser state machines, keep-alive and
-idle-timeout reaping).  Completed requests are handed to a small
+idle-timeout reaping).  A request that never waits on a scorer — a
+health check, or a ``/rank`` body the dispatcher's memo answers — is
+answered on the loop thread, its bytes going straight into the
+connection's output buffer.  Every other request is handed to a small
 dispatch pool (whose threads block on the
 :class:`~repro.serving.ScorerPool` futures — scoring stays on the scorer
-workers) and finished responses come back through a completion queue
-that wakes the loop.  A slow client therefore costs one buffer, never a
+workers) and its response comes back through a completion queue that
+wakes the loop.  A slow client therefore costs one buffer, never a
 thread: the loop trickles its bytes out as the socket drains, which is
 what lets the gateway hold hundreds of concurrent sockets.
 :class:`ShardedTransport` runs several such loops on one port.
@@ -28,6 +31,7 @@ import selectors
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .handlers import GatewayDispatcher
@@ -54,8 +58,8 @@ class GatewayCounters:
     the total ever accepted, ``requests`` the responses served,
     ``keepalive_reuses`` how many requests arrived on an already-used
     connection (i.e. how much work keep-alive saved), and ``in_flight``
-    how many requests are inside a handler right now — the gauge a
-    graceful drain waits on.
+    how many requests are inside a handler or queued for a dispatch
+    thread right now: a load gauge for ``/stats`` and ``/metrics``.
     """
 
     def __init__(self):
@@ -104,8 +108,8 @@ class _Connection:
     """Per-socket state machine for the selector loop.
 
     Owned by the event-loop thread; dispatch threads only ever read the
-    immutable :class:`Request` they were handed and push results onto
-    the completion queue, so no per-connection locking is needed.
+    :class:`Request` they were handed and push results onto the
+    completion queue, so no per-connection locking is needed.
     """
 
     __slots__ = ("sock", "parser", "out", "pending", "in_flight",
@@ -121,9 +125,9 @@ class _Connection:
         # Parsed-but-not-dispatched items, strictly in arrival order.  A
         # trailing ProtocolError rides the same queue so its error
         # response cannot jump ahead of responses the client is owed.
-        self.pending: list[Request | ProtocolError] = []
-        self.in_flight = False              # one dispatch at a time: responses
-        self.requests_dispatched = 0        # stay in pipeline order
+        self.pending: deque[Request | ProtocolError] = deque()
+        self.in_flight = False              # one pooled dispatch at a time:
+        self.requests_dispatched = 0        # responses stay in pipeline order
         self.last_activity = time.monotonic()
         self.close_after_write = False
         self.read_closed = False            # stream desynced: stop reading
@@ -133,6 +137,15 @@ class _Connection:
 
 class SelectorTransport:
     """Non-blocking event-loop front-end on stdlib :mod:`selectors`.
+
+    The loop thread answers a request itself when the dispatcher says it
+    never waits on a scorer (:meth:`GatewayDispatcher.answers_inline`:
+    ``GET /healthz``, or a ``/rank`` body its memo replays), with the
+    same one :meth:`GatewayDispatcher.dispatch` call a dispatch thread
+    makes and no hand-off.  It never decodes, validates, classifies or
+    scores: everything else, ``/stats`` and ``/metrics`` included, goes
+    to the dispatch pool, and a connection's later requests wait behind
+    a pooled one, so responses keep arrival order across both paths.
 
     Parameters
     ----------
@@ -146,9 +159,13 @@ class SelectorTransport:
         Framing limits; violations answer structurally (413/431) and
         close, since the stream can no longer be trusted.
     dispatch_workers:
-        Threads executing handlers (which block on scorer futures).
-        This caps in-flight *handler* concurrency, not connections —
-        idle keep-alive sockets cost nothing.
+        Threads for requests that may wait on a scorer (they block on
+        its futures).  This caps in-flight *handler* concurrency, not
+        connections — idle keep-alive sockets cost nothing.  Health
+        checks and memo answers (see
+        :meth:`GatewayDispatcher.answers_inline`) never take one: the
+        loop answers them itself, so they neither queue behind scoring
+        nor pay the hand-off to a thread and back.
     """
 
     def __init__(self, host: str, port: int, dispatcher: GatewayDispatcher,
@@ -427,39 +444,56 @@ class SelectorTransport:
         self._pump_dispatch(connection)
 
     def _pump_dispatch(self, connection: _Connection) -> None:
-        """Hand the connection's next request to the dispatch pool.
+        """Answer the connection's queued requests in arrival order.
 
-        One in-flight handler per connection: pipelined requests are
-        answered strictly in arrival order, so back-to-back requests in
-        one segment can never interleave their responses.
+        A request that never waits on a scorer
+        (:meth:`GatewayDispatcher.answers_inline`) is answered right here
+        on the loop thread: no dispatch-pool hand-off, completion queue or
+        self-pipe wake-up.  The first request that may wait goes to the
+        dispatch pool and the queue stops behind it until its completion
+        comes back, so back-to-back requests in one segment can never
+        interleave or reorder their responses.
         """
-        if connection.in_flight or connection.close_after_write \
-                or not connection.pending:
-            return
-        item = connection.pending.pop(0)
-        if isinstance(item, ProtocolError):
-            # Terminal by construction (reads stopped when it was queued):
-            # emit the structured error in turn, then close once written.
-            connection.out += encode_error(item.status, item.kind, str(item))
-            connection.close_after_write = True
-            self._update_interest(connection)
+        while connection.pending and not connection.in_flight \
+                and not connection.close_after_write:
+            item = connection.pending.popleft()
+            if isinstance(item, ProtocolError):
+                # Terminal by construction (reads stopped when it was
+                # queued): emit the structured error in turn, then close
+                # once written.
+                connection.out += encode_error(item.status, item.kind,
+                                               str(item))
+                connection.close_after_write = True
+                break
+            reused = connection.requests_dispatched > 0
+            connection.requests_dispatched += 1
+            if self.dispatcher.answers_inline(item.method, item.target,
+                                              item.body):
+                self.counters.dispatch_started()
+                answer = self._answer(item, inline=True)
+                if answer is not None:
+                    self._deliver(connection, answer, reused)
+                    continue
+            connection.in_flight = True
+            self.counters.dispatch_started()
+            self._executor.submit(self._run_handler, connection, item, reused)
+        if connection.out:
+            # Opportunistic write: the socket is almost always writable
+            # for a small response, so skip a select() round trip.
             self._on_writable(connection)
-            return
-        connection.in_flight = True
-        reused = connection.requests_dispatched > 0
-        connection.requests_dispatched += 1
-        self.counters.dispatch_started()
-        self._executor.submit(self._run_handler, connection, item, reused)
 
-    def _run_handler(self, connection: _Connection, request: Request,
-                     reused: bool) -> None:
-        """Dispatch-pool job: compute the response body, enqueue, wake.
+    def _answer(self, request: Request, inline: bool = False):
+        """Dispatch one request and render its body; ends the in-flight
+        count its caller started.
 
-        Only the *body* is rendered here — the head waits for the loop
-        thread (:meth:`_apply_completions`), which alone knows whether
-        this response must carry ``Connection: close`` (drain mode closes
-        each connection on its final response, but a pipelined request
-        already queued behind this one must still be answered first).
+        Returns ``(status, body, content type, headers, force_close)``,
+        or ``None`` from an inline call whose memo entry went stale (the
+        request then goes to the pool).  Only the *body* is rendered
+        here — the head waits for :meth:`_deliver` on the loop thread,
+        which alone knows whether this response must carry
+        ``Connection: close`` (drain mode closes each connection on its
+        final response, but a pipelined request already queued behind
+        this one must still be answered first).
         """
         force_close = not request.keep_alive
         try:
@@ -468,9 +502,13 @@ class SelectorTransport:
             # deadline budget counts queueing inside the gateway
             # (dispatch backlog, scorer queue) but not client-side send
             # time.
-            status, payload, headers = self.dispatcher.dispatch(
+            answer = self.dispatcher.dispatch(
                 request.method, request.target, request.body,
-                headers=request.headers, received_at=request.received_at)
+                headers=request.headers, received_at=request.received_at,
+                inline=inline)
+            if answer is None:
+                return None
+            status, payload, headers = answer
             body, content_type = encode_body(payload)
         except BaseException as error:  # encoding failed: still must answer
             status, headers = 500, {}
@@ -480,38 +518,43 @@ class SelectorTransport:
             force_close = True
         finally:
             self.counters.dispatch_finished()
-        self._completions.put((connection, status, body, content_type,
-                               headers, force_close, reused))
+        return status, body, content_type, headers, force_close
+
+    def _run_handler(self, connection: _Connection, request: Request,
+                     reused: bool) -> None:
+        """Dispatch-pool job: answer one request, enqueue it, wake the loop."""
+        self._completions.put((connection, self._answer(request), reused))
         self._wake()
 
     def _apply_completions(self) -> None:
         while True:
             try:
-                (connection, status, body, content_type, headers,
-                 force_close, reused) = self._completions.get_nowait()
+                connection, answer, reused = self._completions.get_nowait()
             except queue.Empty:
                 return
             if not connection.alive:
                 continue                # client vanished while we scored
             connection.in_flight = False
-            keep_alive = not force_close
-            if self._draining and not connection.pending \
-                    and not connection.parser.mid_request:
-                # The connection's last promised response: tell the
-                # client not to reuse the socket, so the drain converges
-                # instead of racing the client's next request forever.
-                keep_alive = False
-            connection.out += encode_head(
-                status, len(body), keep_alive=keep_alive,
-                content_type=content_type, extra_headers=headers) + body
-            connection.close_after_write |= not keep_alive
-            connection.last_activity = time.monotonic()
-            self.counters.request_served(reused=reused)
-            self._update_interest(connection)
+            self._deliver(connection, answer, reused)
             self._pump_dispatch(connection)
-            # Opportunistic write: the socket is almost always writable
-            # for a small JSON response, so skip a select() round trip.
-            self._on_writable(connection)
+
+    def _deliver(self, connection: _Connection, answer: tuple,
+                 reused: bool) -> None:
+        """Append one answer, head and body, to the output buffer."""
+        status, body, content_type, headers, force_close = answer
+        keep_alive = not force_close
+        if self._draining and not connection.pending \
+                and not connection.parser.mid_request:
+            # The connection's last promised response: tell the client
+            # not to reuse the socket, so the drain converges instead of
+            # racing the client's next request forever.
+            keep_alive = False
+        connection.out += encode_head(
+            status, len(body), keep_alive=keep_alive,
+            content_type=content_type, extra_headers=headers) + body
+        connection.close_after_write |= not keep_alive
+        connection.last_activity = time.monotonic()
+        self.counters.request_served(reused=reused)
 
     def _on_writable(self, connection: _Connection) -> None:
         if not connection.out:
@@ -629,7 +672,8 @@ class ShardedTransport:
     exactly one registry swap, and every shard's next request sees it
     (or none does, when the reload is rejected).  Each shard gets its
     own dispatch pool of ``dispatch_workers // shards`` threads so the
-    total handler concurrency matches the unsharded configuration.
+    total handler concurrency matches the unsharded configuration, and
+    answers health checks and memo answers on its own loop.
 
     The lifecycle surface mirrors :class:`SelectorTransport`;
     ``serve_forever`` runs shard 0 on the calling thread and the rest on

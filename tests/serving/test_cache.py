@@ -144,6 +144,22 @@ class TestResultCache:
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.snapshot()["evictions"] == 1
 
+    def test_peek_moves_no_counter_and_no_lru_order(self):
+        clock = _FakeClock()
+        cache = ResultCache(max_entries=2, ttl_s=10.0, clock=clock)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        before = cache.snapshot()
+        assert cache.peek("a") == 1 and cache.peek("ghost") is None
+        assert cache.snapshot() == before
+        cache.put("c", 3)               # a stayed least recent: evicted
+        assert cache.peek("a") is None and cache.peek("b") == 2
+        clock.now += 10.0
+        assert cache.peek("b") is None  # expired, but left for get to count
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.snapshot()["expired"] == 1
+
     def test_hit_rate(self):
         cache = ResultCache(max_entries=2, ttl_s=None)
         cache.put("a", 1)
@@ -582,10 +598,18 @@ class TestBodyMemo:
 
     @pytest.mark.parametrize("change", [
         {"top_k": 0}, {"top_k": True}, {"model": "ghost"},
-        {"query_tokens": []}, {"candidates": {"numeric": []}}])
+        {"query_tokens": []}, {"candidates": {"numeric": []}},
+        "numeric-3d"])
     def test_refused_bodies_are_never_memoized(self, memo_gateway, batch,
                                                change):
-        body = _body({**_rank_payload(batch), **change})
+        payload = _rank_payload(batch)
+        if change == "numeric-3d":
+            # Each value wrapped in a list: the row and column counts
+            # match the schema, the number of dimensions does not.
+            candidates = payload["candidates"]
+            change = {"candidates": {**candidates, "numeric": [
+                [[value] for value in row] for row in candidates["numeric"]]}}
+        body = _body({**payload, **change})
         for _ in range(2):
             status, payload = _rank(memo_gateway, body)
             assert 400 <= status < 500, payload

@@ -176,6 +176,31 @@ class TestRankEndpoint:
                 assert "candidates.numeric is an empty list" in str(
                     excinfo.value)
 
+    def test_numeric_that_is_not_2d_is_400(self, server, client, model,
+                                           batch):
+        """A 3-D ``numeric`` (each value wrapped in a list) has the right
+        row and column counts; it is refused at the door, with a schema
+        and without one, before it can fail a co-batched micro-batch.  A
+        flat single row is still one candidate."""
+        payload = {"candidates": {
+            "numeric": [[[value] for value in row]
+                        for row in batch.numeric.tolist()],
+            "sparse": {k: v.tolist() for k, v in batch.sparse.items()}}}
+        registry = serving.ModelRegistry()
+        registry.register("ranker", model)
+        service = serving.RankingService(registry, default_model="ranker")
+        with serving.ServingServer(service, port=0).start() as bare:
+            ServingClient(bare.url).wait_ready(timeout_s=30)
+            for url in (server.url, bare.url):
+                assert "candidates.numeric" in _refused_field(url, "/rank",
+                                                              payload)
+        one = {k: v[:1] for k, v in batch.sparse.items()}
+        result = client.rank(batch.numeric[0], one, top_k=1)
+        assert result["indices"] == [0]
+        row = serving.candidate_batch(batch.numeric[:1], one)
+        np.testing.assert_allclose(result["scores"], model.score(row),
+                                   atol=1e-9)
+
     def test_nan_scoring_model_is_structured_500(self, dataset):
         """A model that scores NaN never answers 200: the gateway sends a
         structured 500 that parses as strict JSON, and the model's

@@ -6,18 +6,28 @@ hitting the idle timeout, back-to-back pipelined requests in one
 segment, and oversized bodies — all against a **real** selector-transport
 server over raw sockets, plus unit coverage of the incremental
 :class:`RequestParser` itself and the client's stale-socket retry.
+
+``TestInlineAnswers`` pins which thread answers what: health checks and
+memo answers on the event loop, everything that may wait on a scorer on
+a dispatch thread, in arrival order across both.
 """
 
 import json
 import socket
+import sys
+import threading
 import time
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import serving
 from repro.models import build_model
-from repro.serving import ProtocolError, RequestParser, ServingClient
+from repro.serving import (ProtocolError, RankingService, RequestParser,
+                           ResultCache, ServingClient)
+from repro.serving.handlers import GatewayDispatcher
 from repro.serving.protocol import encode_json, encode_response
 
 
@@ -383,6 +393,9 @@ class TestEventLoopDoesNotSpin:
         release = threading.Event()
 
         class StubDispatcher:
+            def answers_inline(self, method, target, body):
+                return False            # may wait: always the dispatch pool
+
             def dispatch(self, method, path, body, **context):
                 release.wait(10)        # a slow scoring request
                 return 200, {"ok": True}, {}
@@ -429,6 +442,9 @@ class TestEventLoopDoesNotSpin:
         release = threading.Event()
 
         class StubDispatcher:
+            def answers_inline(self, method, target, body):
+                return False            # may wait: always the dispatch pool
+
             def dispatch(self, method, path, body, **context):
                 release.wait(10)        # hold the request in flight
                 return 200, {"ok": True}, {}
@@ -633,3 +649,322 @@ class TestShardedTransport:
                 atol=1e-9)
         finally:
             server.close()
+
+
+# ----------------------------------------------------------------------
+# Requests that never wait on a scorer are answered on the event loop
+# ----------------------------------------------------------------------
+LOOP_THREAD = "ServingServer"           # ServingServer.start's serve thread
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def _post_rank(batch, top_k: int = 5) -> bytes:
+    body = json.dumps({"candidates": {
+        "numeric": batch.numeric.tolist(),
+        "sparse": {name: ids.tolist() for name, ids in batch.sparse.items()}},
+        "top_k": top_k}).encode()
+    return (b"POST /rank HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+
+class _Threads:
+    """Records, in call order, which thread runs each ``rank`` (``full``
+    path or ``memo`` replay) and each operational handler."""
+
+    def __init__(self, monkeypatch, full_path_delay_s: float = 0.0):
+        self.calls: list[tuple[str, str]] = []
+        rank = RankingService.rank
+
+        def recorded_rank(service, candidates, *args, **kwargs):
+            kind = "memo" if kwargs.get("known") is not None else "full"
+            self.calls.append((kind, threading.current_thread().name))
+            if kind == "full":
+                time.sleep(full_path_delay_s)
+            return rank(service, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(RankingService, "rank", recorded_rank)
+        for name in ("handle_healthz", "handle_stats", "handle_metrics"):
+            monkeypatch.setattr(GatewayDispatcher, name,
+                                self._recorded(name,
+                                               getattr(GatewayDispatcher, name)))
+
+    def _recorded(self, name, handler):
+        def recorded(dispatcher, payload):
+            self.calls.append((name, threading.current_thread().name))
+            return handler(dispatcher, payload)
+        return recorded
+
+    def take(self, kinds=("full", "memo")) -> list[tuple[str, str]]:
+        """The recorded calls of ``kinds``, thread names shortened to
+        ``loop`` or ``pool``; clears the record."""
+        calls, self.calls = self.calls, []
+        places = []
+        for kind, thread in calls:
+            if kind not in kinds:
+                continue
+            assert thread == LOOP_THREAD \
+                or thread.startswith("gateway-dispatch"), thread
+            places.append((kind, "loop" if thread == LOOP_THREAD else "pool"))
+        return places
+
+
+@pytest.fixture()
+def loop_gateway(model, dataset, taxonomy, tmp_path):
+    """A cached gateway over a checkpoint directory, on a fake clock."""
+    serving.save_environment(tmp_path, dataset.spec, taxonomy)
+    serving.save_checkpoint(model, tmp_path / "ranker", "adv-hsc-moe")
+    registry = serving.ModelRegistry()
+    registry.reload_from_directory(tmp_path, dataset.spec, taxonomy)
+    clock = _FakeClock()
+    service = RankingService(
+        registry, default_model="ranker",
+        result_cache=ResultCache(max_entries=64, ttl_s=10.0, clock=clock))
+    server = serving.ServingServer(service, port=0, checkpoint_dir=tmp_path,
+                                   spec=dataset.spec, taxonomy=taxonomy)
+    server.start()
+    client = ServingClient(server.url)
+    client.wait_ready(timeout_s=30)
+    yield server, client, clock
+    server.close()
+
+
+def _counts(client) -> tuple[int, int]:
+    """``/stats.server.requests`` and the ``/rank`` histogram count."""
+    stats = client.stats()
+    return stats["server"]["requests"], stats["endpoints"]["/rank"]["count"]
+
+
+class TestInlineAnswers:
+    def test_healthz_never_queues_behind_scoring(self):
+        """The only dispatch thread is parked in a scorer, yet a health
+        check on a second connection answers within a second."""
+        entered, release = threading.Event(), threading.Event()
+
+        class _Parked:
+            def score(self, batch):
+                entered.set()
+                release.wait(10)
+                return np.zeros(len(batch))
+
+        registry = serving.ModelRegistry()
+        registry.register("parked", _Parked())
+        service = RankingService(registry, default_model="parked")
+        server = serving.ServingServer(service, port=0,
+                                       dispatch_workers=1).start()
+        sockets = []
+        try:
+            ServingClient(server.url).wait_ready(timeout_s=30)
+            body = json.dumps({"candidates": {"numeric": [[0.5]]}}).encode()
+            ranker = _connect(server)
+            sockets.append(ranker)
+            ranker.sendall(b"POST /rank HTTP/1.1\r\nContent-Length: %d"
+                           b"\r\n\r\n" % len(body) + body)
+            assert entered.wait(10), "the /rank never reached the scorer"
+            probe = _connect(server)
+            sockets.append(probe)
+            probe.settimeout(1.0)
+            probe.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, payload = _read_response(probe)
+            assert status == 200 and payload["status"] == "ok"
+            release.set()
+            assert _read_response(ranker)[0] == 200
+        finally:
+            release.set()
+            for sock in sockets:
+                sock.close()
+            server.close()
+
+    def test_only_requests_that_never_wait_run_on_the_loop(
+            self, loop_gateway, dataset, monkeypatch):
+        server, client, _ = loop_gateway
+        batch = dataset.batch(np.arange(8))
+        threads = _Threads(monkeypatch)
+        cold = client.rank(batch.numeric, batch.sparse, top_k=5)
+        memo = client.rank(batch.numeric, batch.sparse, top_k=5)
+        assert (cold["cached"], memo["cached"]) == (False, True)
+        np.testing.assert_array_equal(memo["scores"], cold["scores"])
+        client.healthz()
+        client.stats()
+        urllib.request.urlopen(server.url + "/metrics", timeout=10).read()
+        assert threads.take(kinds=("full", "memo", "handle_healthz",
+                                   "handle_stats", "handle_metrics")) == [
+            ("full", "pool"), ("memo", "loop"), ("handle_healthz", "loop"),
+            ("handle_stats", "pool"), ("handle_metrics", "pool")]
+
+    def test_memo_answer_counts_one_cache_hit(self, loop_gateway, dataset):
+        """The loop's check peeks; only the replay itself is counted."""
+        _, client, _ = loop_gateway
+        batch = dataset.batch(np.arange(8))
+        client.rank(batch.numeric, batch.sparse)
+        before = client.stats()["cache"]
+        assert client.rank(batch.numeric, batch.sparse)["cached"] is True
+        after = client.stats()["cache"]
+        assert (after["hits"] - before["hits"],
+                after["misses"] - before["misses"]) == (1, 0)
+
+    def test_cache_off_rank_runs_on_dispatch_threads(self, model, dataset,
+                                                     monkeypatch):
+        registry = serving.ModelRegistry()
+        registry.register("ranker", model)
+        service = RankingService(registry, default_model="ranker")
+        with serving.ServingServer(service, port=0,
+                                   spec=dataset.spec).start() as server:
+            client = ServingClient(server.url)
+            client.wait_ready(timeout_s=30)
+            batch = dataset.batch(np.arange(8))
+            threads = _Threads(monkeypatch)
+            for _ in range(3):
+                assert client.rank(batch.numeric, batch.sparse)["cached"] \
+                    is False
+            assert threads.take() == [("full", "pool")] * 3
+
+    @pytest.mark.parametrize("stale", ["clear", "expire", "reload"])
+    def test_stale_memo_entry_is_answered_by_the_pool(
+            self, loop_gateway, model, dataset, taxonomy, tiny_model_config,
+            monkeypatch, stale):
+        """Between two identical bodies the memo entry goes stale: the
+        result cache is cleared, its entries expire, or a reload moves
+        the key to a new version.  The repeat is scored on a dispatch
+        thread, counted once, and refreshes the memo."""
+        server, client, clock = loop_gateway
+        batch = dataset.batch(np.arange(10))
+        client.rank(batch.numeric, batch.sparse, top_k=5)
+        assert client.rank(batch.numeric, batch.sparse,
+                           top_k=5)["cached"] is True
+        scorer = model
+        if stale == "clear":
+            server.service.result_cache.clear()
+        elif stale == "expire":
+            clock.now += 10.0           # the TTL of both the cache and memo
+        else:
+            scorer = build_model("adv-hsc-moe", dataset.spec, taxonomy,
+                                 tiny_model_config.with_updates(seed=123),
+                                 train_dataset=dataset)
+            serving.save_checkpoint(scorer, server.checkpoint_dir / "ranker",
+                                    "adv-hsc-moe")
+            assert {"name": "ranker", "version": 2} \
+                in client.reload()["registered"]
+        threads = _Threads(monkeypatch)
+        requests, ranks = _counts(client)
+        served = client.rank(batch.numeric, batch.sparse, top_k=5)
+        assert _counts(client) == (requests + 2, ranks + 1)  # + one /stats
+        # The pool's dispatch tries the memo it still holds, as it always
+        # has; an expired memo entry is not even tried.
+        tried = [] if stale == "expire" else [("memo", "pool")]
+        assert threads.take() == tried + [("full", "pool")]
+        assert served["cached"] is False
+        assert served["model_version"] == (2 if stale == "reload" else 1)
+        np.testing.assert_allclose(
+            served["scores"], np.sort(scorer.score(batch))[::-1][:5],
+            atol=1e-9)
+        again = client.rank(batch.numeric, batch.sparse, top_k=5)
+        assert threads.take() == [("memo", "loop")]
+        assert again["cached"] is True
+        np.testing.assert_array_equal(again["scores"], served["scores"])
+
+    def test_entry_lost_after_the_check_goes_to_the_pool(
+            self, loop_gateway, dataset, monkeypatch):
+        """An eviction can land between the loop's check and its replay;
+        the loop then hands the request on instead of scoring it."""
+        server, client, _ = loop_gateway
+        batch = dataset.batch(np.arange(10))
+        first = client.rank(batch.numeric, batch.sparse, top_k=5)
+        holds = RankingService.holds
+
+        def holds_then_evicted(service, known):
+            held = holds(service, known)
+            service.result_cache.clear()
+            return held
+
+        monkeypatch.setattr(RankingService, "holds", holds_then_evicted)
+        threads = _Threads(monkeypatch)
+        requests, ranks = _counts(client)
+        served = client.rank(batch.numeric, batch.sparse, top_k=5)
+        assert _counts(client) == (requests + 2, ranks + 1)
+        assert threads.take() == [("memo", "loop"), ("memo", "pool"),
+                                  ("full", "pool")]
+        assert served["cached"] is False
+        np.testing.assert_array_equal(served["scores"], first["scores"])
+
+    def test_pipelined_order_holds_across_both_paths(self, loop_gateway,
+                                                     model, dataset,
+                                                     monkeypatch):
+        """A memo hit, a cold miss and a memo hit in one segment come back
+        in that order: the second hit waits for the pooled miss even
+        though the loop could answer it at once."""
+        server, _, _ = loop_gateway
+        hit = _post_rank(dataset.batch(np.arange(0, 6)))
+        miss = _post_rank(dataset.batch(np.arange(6, 12)))
+        sock = _connect(server)
+        try:
+            reader = _ResponseReader(sock)
+            for _ in range(2):          # fill the result cache, then the memo
+                sock.sendall(hit)
+                assert reader.read_response()[0] == 200
+            # A slow full path: an inline answer that jumped the queue
+            # would be written long before the miss's.
+            threads = _Threads(monkeypatch, full_path_delay_s=0.2)
+            sock.sendall(hit + miss + hit)
+            answers = [reader.read_response() for _ in range(3)]
+        finally:
+            sock.close()
+        assert [status for status, _ in answers] == [200, 200, 200]
+        assert [payload["cached"] for _, payload in answers] \
+            == [True, False, True]
+        assert threads.take() == [("memo", "loop"), ("full", "pool"),
+                                  ("memo", "loop")]
+        for (_, payload), rows in zip(answers, (range(0, 6), range(6, 12),
+                                                range(0, 6))):
+            reference = model.score(dataset.batch(np.arange(rows.start,
+                                                            rows.stop)))
+            np.testing.assert_allclose(payload["scores"],
+                                       np.sort(reference)[::-1][:5],
+                                       atol=1e-9)
+
+    def test_connections_race_memo_hits_and_evictions(self, loop_gateway,
+                                                      model, dataset):
+        """Six keep-alive clients race three bodies through the loop and
+        the pool while the result cache is cleared under them: every
+        answer carries its own body's scores, and the books agree."""
+        server, client, _ = loop_gateway
+        batches = [dataset.batch(np.arange(i * 5, i * 5 + 5)) for i in range(3)]
+        references = [np.sort(model.score(b))[::-1][:5] for b in batches]
+        requests, ranks = _counts(client)
+        stop = threading.Event()
+
+        def evict():
+            while not stop.is_set():
+                server.service.result_cache.clear()
+                time.sleep(0.002)
+
+        def run(worker: int) -> list:
+            own = ServingClient(server.url)
+            return [(k, own.rank(batches[k].numeric, batches[k].sparse,
+                                 top_k=5))
+                    for k in ((worker + i) % 3 for i in range(60))]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        evictor = threading.Thread(target=evict, daemon=True)
+        evictor.start()
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(run, worker) for worker in range(6)]
+                outcomes = [future.result(timeout=120) for future in futures]
+        finally:
+            stop.set()
+            evictor.join(10)
+            sys.setswitchinterval(switch)
+        assert not evictor.is_alive()
+        for results in outcomes:
+            for k, payload in results:
+                np.testing.assert_allclose(payload["scores"], references[k],
+                                           atol=1e-9)
+        assert _counts(client) == (requests + 361, ranks + 360)
